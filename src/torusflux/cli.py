@@ -51,9 +51,7 @@ def _emit(rows, extras, config: ExperimentConfig, out_dir: str, runtime_ms: floa
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(rows, out / "report.csv")
-    cfg_dict = asdict(config)
-    cfg_dict["translation"] = list(cfg_dict["translation"])
-    write_json(rows, out / "report.json", cfg_dict, runtime_ms)
+    write_json(rows, out / "report.json", asdict(config), runtime_ms)
     for name, (header, records) in extras.get("tables", {}).items():
         write_table_csv(out / name, header, records)
     failures = [r for r in rows if not r.passed]
@@ -95,15 +93,14 @@ def scenario(name, config_path, out_dir, seed, resolution, steps, tolerance):
     if name == "--list" or name == "list":
         click.echo("\n".join(scenario_names()))
         return
-    config = _build_config(config_path, seed=seed, resolution=resolution,
-                           steps=steps, tolerance=tolerance, experiment=name)
-    try:
-        t0 = time.perf_counter()
-        rows, extras = run_scenario(name, config)
-    except KeyError:
+    if name not in scenario_names():
         raise click.UsageError(
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
         )
+    config = _build_config(config_path, seed=seed, resolution=resolution,
+                           steps=steps, tolerance=tolerance, experiment=name)
+    t0 = time.perf_counter()
+    rows, extras = run_scenario(name, config)
     sys.exit(_emit(rows, extras, config, out_dir,
                    (time.perf_counter() - t0) * 1e3))
 

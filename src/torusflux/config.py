@@ -14,7 +14,6 @@ The format is INI (diff friendly, language agnostic):
     [scenario]
     pair_count = 200
     shear_amplitude = 1.0
-    translation = 1.0, 0.0
     iterate_count = 10
     sequence_length = 6
     hamiltonian_amplitude = 0.12
@@ -46,7 +45,6 @@ class ExperimentConfig:
     pair_count: int = 200
     cocycle_pairs: int = 50
     shear_amplitude: float = 1.0
-    translation: tuple[float, float] = (1.0, 0.0)
     hamiltonian_amplitude: float = 0.12
     iterate_count: int = 10
     sequence_length: int = 6
@@ -79,7 +77,7 @@ _SECTION_KEYS = {
     "torus": {"dim", "resolution"},
     "run": {"steps", "seed", "tolerance"},
     "scenario": {
-        "pair_count", "cocycle_pairs", "shear_amplitude", "translation",
+        "pair_count", "cocycle_pairs", "shear_amplitude",
         "hamiltonian_amplitude", "iterate_count", "sequence_length",
         "sample_count", "experiment",
     },
@@ -97,11 +95,6 @@ def _parse_value(key: str, raw: str):
         return int(raw)
     if key in _FLOAT_KEYS:
         return float(raw)
-    if key == "translation":
-        parts = [float(p) for p in raw.replace(",", " ").split()]
-        if len(parts) != 2:
-            raise ConfigError(f"translation needs two components, got {raw!r}")
-        return tuple(parts)
     return raw
 
 

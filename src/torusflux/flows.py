@@ -138,16 +138,6 @@ def hamiltonian_field(
     return TimeField(torus, evaluator, kind)
 
 
-def harmonic_field(torus: FlatTorus, coeffs_of_t: Callable[[float], np.ndarray]) -> TimeField:
-    """Spatially constant field ``X_t = rot(coeffs(t))`` (harmonic class)."""
-
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        vec = rotate_coeffs_to_field(np.asarray(coeffs_of_t(t), dtype=float))
-        return np.broadcast_to(vec, points.shape).copy()
-
-    return TimeField(torus, evaluator, "harmonic")
-
-
 def constant_field(torus: FlatTorus, velocity) -> TimeField:
     """Constant translation field."""
     vec = np.asarray(velocity, dtype=float)
@@ -323,10 +313,6 @@ class GeneratorPair:
         object.__setattr__(self, "U", np.asarray(self.U, dtype=float))
         object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
 
-    def harmonic_flux(self) -> np.ndarray:
-        """Time integral of the harmonic trace (trapezoid)."""
-        return np.trapezoid(self.H, self.times, axis=0)
-
 
 # ---------------------------------------------------------------------------
 # time interpolation on a uniform grid
@@ -369,7 +355,8 @@ def interp_time(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
 class Isotopy:
     """Time-sampled family of grid diffeomorphisms with lifted displacements.
 
-    Immutable after construction.  ``provenance`` optionally keeps the
+    Immutable after construction: ``times`` and ``disp`` are read-only
+    arrays, so isotopies can be shared.  ``provenance`` optionally keeps the
     generating :class:`TimeField`; ``gen`` optionally carries an exact
     generator trace attached by the constructor (flows, concatenations,
     harmonic paths).  Interpolation is periodic cubic in space and
@@ -390,6 +377,8 @@ class Isotopy:
             raise ValueError("displacement stack shape mismatch")
         if float(np.abs(disp[0]).max()) != 0.0:
             raise ValueError("an isotopy must start at the identity exactly")
+        times.flags.writeable = False
+        disp.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "disp", disp)
 
@@ -410,10 +399,6 @@ class Isotopy:
 
     def time_one(self) -> GridMap:
         return GridMap(self.torus, self.disp[-1])
-
-    def grid_orbits(self) -> np.ndarray:
-        """Lifted orbits of all grid points, shape ``(K+1, d) + grid``."""
-        return self.disp + self.torus.grid[None]
 
     def eval_orbit(self, x: np.ndarray) -> np.ndarray:
         """Lifted orbit of one or more points, shape (K+1, ..., d)."""
@@ -457,8 +442,8 @@ def flow(x_field: TimeField, steps: int, torus: FlatTorus | None = None) -> Isot
     if steps < 50:
         raise ValueError(f"steps must be >= 50, got {steps}")
     traj = integrate_trajectories(x_field, torus.points, steps)
-    disp = traj - torus.points[None]
-    stack = np.moveaxis(disp, -1, 1).reshape(
+    traj -= torus.points  # in place: no second (K+1, N^d, d) array
+    stack = np.moveaxis(traj, -1, 1).reshape(
         (steps + 1, torus.dim) + torus.shape
     )
     stack[0] = 0.0

@@ -74,10 +74,6 @@ class LengthReport:
     def hofer_l1(self) -> float:
         return float(simpson(self.osc_trace, x=self.times))
 
-    @property
-    def hofer_linf(self) -> float:
-        return float(np.max(self.osc_trace))
-
 
 def lengths(isotopy: Isotopy, validate_tol: float | None = None) -> LengthReport:
     """Length report from the generator pair of a symplectic isotopy.
@@ -263,7 +259,7 @@ def mcduff_deformation(
     v_field = np.gradient(g_shift, t_grid, axis=1, edge_order=2)
 
     sup_x_b = float(np.abs(coeffs).sum(axis=1).max())
-    sup_v_b = float(np.abs(contract_coeffs_batch(v_field)).sum(axis=-1).max())
+    sup_v_b = float(np.abs(contract_field_to_coeffs(v_field.T)).sum(axis=0).max())
     # G_{s,1} must be the harmonic path at parameter s: integral of X over [0, s]
     x_at_s = np.stack(
         [rotate_coeffs_to_field(np.asarray(coeffs_of_t(s), dtype=float))
@@ -275,19 +271,6 @@ def mcduff_deformation(
         s_grid, t_grid, coeffs, z_field, g_shift, v_field,
         sup_x_b, sup_v_b, endpoint_residual,
     )
-
-
-def contract_coeffs_batch(v: np.ndarray) -> np.ndarray:
-    """Coefficients of ``i(v)omega`` for vectors stacked on the last axis."""
-    out = np.empty_like(v)
-    out[..., 0::2] = -v[..., 1::2]
-    out[..., 1::2] = v[..., 0::2]
-    return out
-
-
-def lem1_bound_residual(family: DeformationFamily) -> float:
-    """Margin of the deformation slope bound (nonnegative on pass)."""
-    return family.slope_margin()
 
 
 # ---------------------------------------------------------------------------
@@ -419,19 +402,12 @@ class EnergySurrogate:
     e0: float
     e0_inf: float
     e0_inverse: float | None = None
-    e0_inf_inverse: float | None = None
 
     @property
     def norm_hl(self) -> float:
         if self.e0_inverse is None:
             raise ValueError("surrogate was built without inverse energies")
         return 0.5 * (self.e0 + self.e0_inverse)
-
-    @property
-    def norm_hl_inf(self) -> float:
-        if self.e0_inf_inverse is None:
-            raise ValueError("surrogate was built without inverse energies")
-        return 0.5 * (self.e0_inf + self.e0_inf_inverse)
 
 
 def energy_surrogate(
@@ -455,17 +431,14 @@ def energy_surrogate(
     if not kept:
         raise ValueError("no candidate isotopy reaches the target map")
     reports = [lengths(iso) for _, iso in kept]
-    e0_inv = e0_inf_inv = None
+    e0_inv = None
     if with_inverse:
-        inv_reports = [lengths(inverse(iso)) for _, iso in kept]
-        e0_inv = min(r.l1_length for r in inv_reports)
-        e0_inf_inv = min(r.linf_length for r in inv_reports)
+        e0_inv = min(lengths(inverse(iso)).l1_length for _, iso in kept)
     return EnergySurrogate(
         labels=tuple(label for label, _ in kept),
         e0=min(r.l1_length for r in reports),
         e0_inf=min(r.linf_length for r in reports),
         e0_inverse=e0_inv,
-        e0_inf_inverse=e0_inf_inv,
     )
 
 

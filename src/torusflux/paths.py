@@ -141,7 +141,6 @@ def _reparam_generator(
 def concat_right(
     phi: Isotopy,
     psi: Isotopy,
-    cutoff: CutoffFunction | None = None,
     steps: int | None = None,
     with_generator: bool = False,
 ) -> Isotopy:
@@ -157,7 +156,7 @@ def concat_right(
     ``H . lift(phi_1^{-1})`` from pulling the harmonic form back.
     """
     _check_pair(phi, psi)
-    f = cutoff or default_cutoff()
+    f = default_cutoff()
     torus = phi.torus
     times = _concat_times(phi, psi, steps)
     half = len(times) // 2
@@ -206,7 +205,6 @@ def concat_right(
 def concat_left(
     psi: Isotopy,
     phi: Isotopy,
-    cutoff: CutoffFunction | None = None,
     steps: int | None = None,
     with_generator: bool = False,
 ) -> Isotopy:
@@ -219,7 +217,7 @@ def concat_left(
     to attach it.
     """
     _check_pair(phi, psi)
-    f = cutoff or default_cutoff()
+    f = default_cutoff()
     torus = phi.torus
     times = _concat_times(phi, psi, steps)
     half = len(times) // 2

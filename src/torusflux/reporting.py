@@ -30,14 +30,6 @@ class ReportRow:
     def passed(self) -> bool:
         return self.value <= self.bound + self.tolerance
 
-    @classmethod
-    def from_residual(
-        cls, check_id: str, anchor: str, residual: float,
-        tolerance: float, bound: float = 0.0, runtime_ms: float = 0.0,
-    ) -> "ReportRow":
-        return cls(check_id, anchor, float(residual), float(bound),
-                   float(tolerance), runtime_ms)
-
 
 CSV_FIELDS = ("check_id", "anchor", "value", "bound", "tolerance", "passed")
 

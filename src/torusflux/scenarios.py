@@ -2,9 +2,11 @@
 
 Each scenario runs a family of checks at the configured grid size and seed
 and returns :class:`ReportRow` records plus optional tabular extras (survey
-tables, plot data).  The ``verify`` entry point is the union of the
-scenarios' core checks; identical configuration and seed give bit-identical
-tables.
+tables, plot data).  Scenarios read their configuration and the canonical
+isotopies from one :class:`Workbench`; the ``verify`` entry point builds a
+single workbench and runs every scenario's core checks on it, so each
+canonical isotopy is built once per run.  Identical configuration and seed
+give bit-identical tables.
 
 All randomness flows from one seeded generator per scenario call.
 """
@@ -35,18 +37,24 @@ from .families import (
 )
 from .flows import (
     FlatTorus,
+    TimeField,
     compose_pointwise,
     flow,
+    harmonic_isotopy,
     identity_isotopy,
 )
 from .paths import concat_left, concat_right, make_cutoff, reparametrized
 from .reporting import ReportRow
-from .torus import OneForm, integrate, poincare_pair
+from .torus import OneForm, integrate, minimal_geodesic, poincare_pair
 
 
 @dataclass
 class Workbench:
-    """Shared canonical isotopies at one grid size (built lazily, reused)."""
+    """Configuration plus the canonical isotopies, built lazily and shared.
+
+    Isotopy arrays are read-only, so every scenario handed the same
+    workbench sees the same data.
+    """
 
     config: ExperimentConfig
 
@@ -76,19 +84,29 @@ class Workbench:
         )
 
     @cached_property
+    def half_translation(self):
+        return translation_isotopy(self.torus, self.config.steps, (0.5, 0.0))
+
+    @cached_property
     def dx(self) -> OneForm:
         return OneForm.harmonic_form(self.torus, [1.0] + [0.0] * (self.torus.dim - 1))
 
 
 class _Timer:
+    """Row collector; each row's runtime is the time since the previous row
+    (or since the collector was created)."""
+
     def __init__(self):
         self.rows: list[ReportRow] = []
+        self._last = time.perf_counter()
 
     def add(self, check_id: str, anchor: str, value: float,
-            tolerance: float, bound: float = 0.0, started: float | None = None):
-        ms = 0.0 if started is None else (time.perf_counter() - started) * 1e3
+            tolerance: float, bound: float = 0.0):
+        now = time.perf_counter()
         self.rows.append(ReportRow(check_id, anchor, float(value), float(bound),
-                                   float(tolerance), runtime_ms=ms))
+                                   float(tolerance),
+                                   runtime_ms=(now - self._last) * 1e3))
+        self._last = now
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +114,8 @@ class _Timer:
 # ---------------------------------------------------------------------------
 
 
-def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     torus = bench.torus
     rng = np.random.default_rng(config.seed)
     out = _Timer()
@@ -111,16 +129,14 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         )
         return OneForm(tt, [1.0] + [0.0] * (tt.dim - 1), pot)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(config.cocycle_pairs):
         phi = random_conservative_isotopy(torus, rng, config.steps)
         psi = random_conservative_isotopy(torus, rng, config.steps)
         worst = max(worst, flux_mod.cocycle_residual(phi, psi, cocycle_form(torus)))
-    out.add("flux-01-cocycle", "flux cocycle identity", worst, 1e-5, started=t0)
+    out.add("flux-01-cocycle", "flux cocycle identity", worst, 1e-5)
 
     # refinement: same seeded pairs at half and full resolution
-    t0 = time.perf_counter()
     res_by_n = {}
     for n in (config.resolution // 2, config.resolution):
         sub = FlatTorus(config.dim, n, symplectic=True)
@@ -134,28 +150,24 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         res_by_n[n] = worst_n
     ratio = res_by_n[config.resolution // 2] / max(res_by_n[config.resolution], 1e-16)
     out.add("flux-02-cocycle-refinement", "flux cocycle refinement",
-            4.0 - ratio, 0.0, bound=0.0, started=t0)
+            4.0 - ratio, 0.0, bound=0.0)
 
     # canonical flux classes
-    t0 = time.perf_counter()
     fc = flux_mod.flux_class(bench.shear, check=False).pairings
     expected = np.zeros(torus.dim)
     expected[0] = config.shear_amplitude / 2.0
     out.add("flux-03-shear-class", "flux of the standard shear",
-            float(np.abs(fc - expected).max()), 1e-7, started=t0)
-    t0 = time.perf_counter()
+            float(np.abs(fc - expected).max()), 1e-7)
     fc = flux_mod.flux_class(bench.hamiltonian_shear, check=False).norm()
     out.add("flux-04-hamiltonian-class", "flux of a Hamiltonian flow",
-            fc, 1e-7, started=t0)
-    t0 = time.perf_counter()
+            fc, 1e-7)
     fc = flux_mod.flux_class(bench.translation_loop, check=False).pairings
     loop_expected = np.zeros(torus.dim)
     loop_expected[0] = 1.0
     out.add("flux-05-translation-loop-class", "flux of a coordinate loop",
-            float(np.abs(fc - loop_expected).max()), 1e-9, started=t0)
+            float(np.abs(fc - loop_expected).max()), 1e-9)
 
     # group homomorphism under pointwise composition (endpoint only)
-    t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
         phi = random_conservative_isotopy(torus, rng, config.steps)
@@ -168,10 +180,9 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         )
         worst = max(worst, float(np.abs(combined - parts).max()))
     out.add("flux-06-homomorphism", "flux additivity under composition",
-            worst, 1e-6, started=t0)
+            worst, 1e-6)
 
     # defining equation of the flux function
-    t0 = time.perf_counter()
     mixed = OneForm(
         torus, [1.0] + [0.0] * (torus.dim - 1),
         np.sin(2 * np.pi * torus.grid[0]) * np.sin(2 * np.pi * torus.grid[1]) / 10,
@@ -181,10 +192,9 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         for t in (0.2, 0.4, 0.6, 0.8, 1.0)
     )
     out.add("flux-07-gradient-identity", "flux function differential identity",
-            worst, tol * 10, started=t0)
+            worst, tol * 10)
 
     # representative independence
-    t0 = time.perf_counter()
     base_val = poincare_pair(bench.dx.harmonic,
                              flux_mod.flux_class(bench.shear, check=False))
     shifted = OneForm(torus, bench.dx.harmonic,
@@ -194,10 +204,9 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     )
     out.add("flux-08-representative-independence",
             "independence of the exact part",
-            abs(base_val - shifted_val), 1e-9, started=t0)
+            abs(base_val - shifted_val), 1e-9)
 
     # reparametrization invariance of the endpoint flux function
-    t0 = time.perf_counter()
     worst = 0.0
     for warp in (lambda s: s**2, lambda s: s**3 * (4 - 3 * s),
                  lambda s: 0.5 * (1 - np.cos(np.pi * s))):
@@ -210,16 +219,13 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
             ).max()),
         )
     out.add("flux-09-homotopy-invariance",
-            "endpoint flux under time reparametrization", worst, 1e-8, started=t0)
+            "endpoint flux under time reparametrization", worst, 1e-8)
 
     # factorizations through the partial paths
-    t0 = time.perf_counter()
     rows = flux_mod.factorization1_check(lambda t: bench.dx, bench.shear)
     worst = max(r[3] for r in rows)
     out.add("flux-10-factorization-shear", "flux factorization, shear",
-            worst, 1e-5, started=t0)
-    t0 = time.perf_counter()
-    trans = translation_isotopy(torus, config.steps, (1.0, 0.0))
+            worst, 1e-5)
 
     def mixed_family(t: float) -> OneForm:
         coeffs = np.zeros(torus.dim)
@@ -228,27 +234,24 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         return OneForm.harmonic_form(torus, coeffs)
 
     rows = flux_mod.factorization1_check(
-        mixed_family, trans, ts=(0.2, 0.4, 0.5, 0.8, 1.0)
+        mixed_family, bench.translation_loop, ts=(0.2, 0.4, 0.5, 0.8, 1.0)
     )
     worst = max(r[3] for r in rows)
     mid = [r for r in rows if abs(r[0] - 0.5) < 1e-12]
     value_err = abs(mid[0][1] - 0.25) if mid else 1.0
     out.add("flux-11-factorization-translation",
             "flux factorization, mixed family", max(worst, value_err),
-            1e-6, started=t0)
-    t0 = time.perf_counter()
+            1e-6)
     exact = OneForm.exact_form(torus, np.sin(2 * np.pi * torus.grid[0]) / 5)
     rows = flux_mod.factorization1_check(lambda t: exact, bench.shear)
     worst = max(max(abs(r[1]), abs(r[2])) for r in rows)
     out.add("flux-12-factorization-exact", "flux factorization, exact form",
-            worst, 1e-6, started=t0)
+            worst, 1e-6)
 
     # orbit homology
-    t0 = time.perf_counter()
     value, dev = flux_mod.loop_orbit_constancy(bench.translation_loop, bench.dx)
     out.add("flux-13-orbit-constancy", "orbit integrals along a loop",
-            max(abs(value - 1.0), dev), 1e-6, started=t0)
-    t0 = time.perf_counter()
+            max(abs(value - 1.0), dev), 1e-6)
     report = flux_mod.rigidity_experiment(
         [bench.hamiltonian_loop], bench.hamiltonian_loop,
         sample_points=np.random.default_rng(config.seed + 2).uniform(
@@ -258,27 +261,22 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     max_winding = float(np.abs(report.windings).max()) if report.windings is not None else 1.0
     out.add("flux-14-hamiltonian-loop-windings",
             "contractibility of Hamiltonian loop orbits",
-            max_winding, 0.0, started=t0)
+            max_winding, 0.0)
 
     # zero flux iff contractible orbits, both directions
-    t0 = time.perf_counter()
     ham_fc = flux_mod.flux_class(bench.hamiltonian_loop, check=False).norm()
     out.add("flux-15-kernel-forward", "zero flux from contractible orbits",
-            ham_fc, 1e-6, started=t0)
-    t0 = time.perf_counter()
+            ham_fc, 1e-6)
     value, _ = flux_mod.loop_orbit_constancy(bench.translation_loop, bench.dx)
     out.add("flux-16-kernel-converse", "nonzero flux forces winding",
-            1.0 - abs(value), 1e-6, started=t0)
+            1.0 - abs(value), 1e-6)
 
     # orbit criterion for flux equality
-    t0 = time.perf_counter()
     same = concat_right(bench.shear, bench.hamiltonian_loop)
     verdict = flux_mod.flux_equality_via_orbits(bench.shear, same, (0.3, 0.7))
     gap = float(np.abs(verdict.flux_psi - verdict.flux_phi).max())
-    ok = verdict.contractible and gap <= 1e-6
     out.add("flux-17-orbit-criterion", "equal flux from contractible difference",
-            gap if verdict.contractible else 1.0, 1e-6, started=t0)
-    t0 = time.perf_counter()
+            gap if verdict.contractible else 1.0, 1e-6)
     other = concat_right(bench.shear, bench.translation_loop)
     verdict = flux_mod.flux_equality_via_orbits(bench.shear, other, (0.3, 0.7))
     expected_gap = np.zeros(torus.dim)
@@ -287,22 +285,18 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
         np.abs((verdict.flux_psi - verdict.flux_phi) - expected_gap).max()
     ) + (0.0 if not verdict.contractible else 1.0)
     out.add("flux-18-orbit-criterion-control",
-            "winding obstruction detected", control, 1e-6, started=t0)
+            "winding obstruction detected", control, 1e-6)
 
     # finite-order cycles
-    t0 = time.perf_counter()
-    half = translation_isotopy(torus, config.steps, (0.5, 0.0))
-    rep2 = flux_mod.order_cycle_test(half, 2)
+    rep2 = flux_mod.order_cycle_test(bench.half_translation, 2)
     val = rep2.relation_residual + (0.0 if tuple(rep2.cycle_winding[:2]) == (1, 0) else 1.0)
-    out.add("flux-19-order-two", "finite-order cycle, order 2", val, 1e-5, started=t0)
-    t0 = time.perf_counter()
+    out.add("flux-19-order-two", "finite-order cycle, order 2", val, 1e-5)
     third = translation_isotopy(torus, config.steps, (1.0 / 3.0, 0.0))
     rep3 = flux_mod.order_cycle_test(third, 3)
     val = rep3.relation_residual + (0.0 if tuple(rep3.cycle_winding[:2]) == (1, 0) else 1.0)
-    out.add("flux-20-order-three", "finite-order cycle, order 3", val, 1e-5, started=t0)
+    out.add("flux-20-order-three", "finite-order cycle, order 3", val, 1e-5)
 
     # surjectivity of the flux pairing
-    t0 = time.perf_counter()
     target = 0.7 + rng.uniform(0.0, 2.0)
     scaled = flux_mod.scaled_to_target(
         x_shear_field(torus, shear_profile(config.shear_amplitude)),
@@ -311,13 +305,12 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     achieved = poincare_pair(bench.dx.harmonic,
                              flux_mod.flux_class(scaled, check=False))
     out.add("flux-21-surjectivity", "prescribed flux by time scaling",
-            abs(achieved - target), 1e-7, started=t0)
+            abs(achieved - target), 1e-7)
 
     # loop lattice generators
-    t0 = time.perf_counter()
     lattice = flux_mod.flux_lattice(torus, steps=max(50, config.steps // 4))
     out.add("flux-22-loop-lattice", "coordinate loop lattice",
-            float(np.abs(lattice - np.eye(torus.dim)).max()), 1e-9, started=t0)
+            float(np.abs(lattice - np.eye(torus.dim)).max()), 1e-9)
 
     return out.rows, {}
 
@@ -327,15 +320,14 @@ def scenario_flux(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
 # ---------------------------------------------------------------------------
 
 
-def scenario_defect_survey(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_defect_survey(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     torus = bench.torus
     rng = np.random.default_rng(config.seed)
     out = _Timer()
     coeffs = bench.dx.harmonic
     base_point = np.zeros(torus.dim)
 
-    t0 = time.perf_counter()
     records = []
     max_defect = 0.0
     max_exact = 0.0
@@ -350,7 +342,7 @@ def scenario_defect_survey(config: ExperimentConfig) -> tuple[list[ReportRow], d
         max_defect = max(max_defect, report.defect)
         max_exact = max(max_exact, report.exact_law_residual)
     out.add("defect-01-bound", "quasi-morphism defect bound",
-            max_defect, 0.0, bound=bound, started=t0)
+            max_defect, 0.0, bound=bound)
     out.add("defect-02-exact-law", "exact composition law", max_exact, 1e-5)
     extras = {
         "tables": {
@@ -362,12 +354,11 @@ def scenario_defect_survey(config: ExperimentConfig) -> tuple[list[ReportRow], d
     return out.rows, extras
 
 
-def scenario_separation(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_separation(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     torus = bench.torus
     out = _Timer()
 
-    t0 = time.perf_counter()
     wiggle = wiggled_translation_loop(
         torus, config.steps, eps=0.02,
         rng=np.random.default_rng(config.seed + 3),
@@ -375,32 +366,29 @@ def scenario_separation(config: ExperimentConfig) -> tuple[list[ReportRow], dict
     report = disp_mod.separation_check(wiggle, samples=config.sample_count)
     ok = report.hypothesis_met and report.min_margin is not None and report.min_margin > 0
     out.add("separation-01-wiggle", "orbits exceed endpoint distance",
-            -(report.min_margin or -1.0) if ok else 1.0, 0.0, started=t0)
+            -(report.min_margin or -1.0) if ok else 1.0, 0.0)
 
-    t0 = time.perf_counter()
     big = bench.shear
     rep2 = disp_mod.separation_check(big, samples=16)
     out.add("separation-02-hypothesis-control",
             "closeness hypothesis correctly rejected",
-            0.0 if not rep2.hypothesis_met else 1.0, 0.0, started=t0)
+            0.0 if not rep2.hypothesis_met else 1.0, 0.0)
 
-    t0 = time.perf_counter()
     small = translation_isotopy(torus, config.steps, (0.05, 0.0))
     rep3 = disp_mod.separation_check(small, samples=4)
     consistent = (not rep3.hypothesis_met) and rep3.delta0 <= rep3.c0_gap
     out.add("separation-03-translation-selfcheck",
             "geodesic translations reject the hypothesis",
-            0.0 if consistent else 1.0, 0.0, started=t0)
+            0.0 if consistent else 1.0, 0.0)
     return out.rows, {}
 
 
-def scenario_rigidity(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_rigidity(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     torus = bench.torus
     rng = np.random.default_rng(config.seed + 5)
     out = _Timer()
 
-    t0 = time.perf_counter()
     seq = [
         hamiltonian_loop(
             torus, config.steps, np.random.default_rng(config.seed + 7),
@@ -417,22 +405,20 @@ def scenario_rigidity(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     distances_ok = report.distances[-1] < report.distances[0]
     out.add("rigidity-01-limit-windings", "limit loop orbits contract",
             winding if report.hypothesis_ok and distances_ok else 1.0,
-            0.0, started=t0)
+            0.0)
 
-    t0 = time.perf_counter()
     bad = flux_mod.rigidity_experiment([bench.translation_loop],
                                        bench.translation_loop)
     out.add("rigidity-02-hypothesis-control", "nonzero flux sequence flagged",
-            0.0 if not bad.hypothesis_ok else 1.0, 0.0, started=t0)
+            0.0 if not bad.hypothesis_ok else 1.0, 0.0)
 
-    t0 = time.perf_counter()
     const = flux_mod.rigidity_experiment(
         [limit, limit], limit,
         sample_points=rng.uniform(size=(4, torus.dim)),
     )
     winding = float(np.abs(const.windings).max()) if const.windings is not None else 1.0
     out.add("rigidity-03-constant-sequence", "constant sequence windings",
-            winding if const.hypothesis_ok else 1.0, 0.0, started=t0)
+            winding if const.hypothesis_ok else 1.0, 0.0)
     return out.rows, {}
 
 
@@ -441,27 +427,25 @@ def scenario_rigidity(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
 # ---------------------------------------------------------------------------
 
 
-def scenario_iteration_growth(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_iteration_growth(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     out = _Timer()
-    t0 = time.perf_counter()
     report = hofer_mod.iteration_growth_check(bench.translation_loop,
                                               config.iterate_count)
     ratio_err = max(abs(r.ratio - report.k0) for r in report.rows)
     out.add("growth-01-ratio", "length growth ratio equals the flux pairing",
-            ratio_err, 1e-6, started=t0)
+            ratio_err, 1e-6)
     lin = max(r.flux_linearity_residual for r in report.rows)
     out.add("growth-02-flux-linearity", "flux linearity under iteration",
             lin, 1e-6)
     out.add("growth-03-nonidentity", "iterates stay away from the identity",
             0.0 if report.all_nonidentity else 1.0, 0.0)
 
-    t0 = time.perf_counter()
-    half = translation_isotopy(bench.torus, config.steps, (0.5, 0.0))
+    half = bench.half_translation
     linf = hofer_mod.lengths(half).linf_length
     k0_half = flux_mod.flux_class(half, check=False).norm()
     out.add("growth-04-sup-length-bound", "flux pairing below the sup length",
-            k0_half - linf, 1e-9, started=t0)
+            k0_half - linf, 1e-9)
 
     plot = [
         [r.power, r.length, r.ratio, report.k0] for r in report.rows
@@ -474,13 +458,12 @@ def scenario_iteration_growth(config: ExperimentConfig) -> tuple[list[ReportRow]
     return out.rows, extras
 
 
-def scenario_deformation(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_deformation(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     torus = bench.torus
     out = _Timer()
 
     for idx, c in enumerate((0.1, 0.5, 2.0)):
-        t0 = time.perf_counter()
         fam = hofer_mod.mcduff_deformation(
             torus, lambda t, c=c: np.array([c * np.cos(2 * np.pi * t)]
                                            + [0.0] * (torus.dim - 1)),
@@ -492,7 +475,7 @@ def scenario_deformation(config: ExperimentConfig) -> tuple[list[ReportRow], dic
         )
         margin = min(fam.slope_margin(), refined.slope_margin())
         out.add(f"deform-0{idx + 1}-slope-c{c}", "deformation slope bound",
-                -margin, 0.0, started=t0)
+                -margin, 0.0)
         if idx == 1:
             osc_rows = refined.oscillation_bound_rows()
             worst = max(v - b for _, v, b in osc_rows)
@@ -501,7 +484,6 @@ def scenario_deformation(config: ExperimentConfig) -> tuple[list[ReportRow], dic
             out.add("deform-05-endpoint", "deformation endpoints match",
                     refined.endpoint_residual, 1e-8)
 
-    t0 = time.perf_counter()
     hs = bench.hamiltonian_shear
 
     def coeffs_of_t(t):
@@ -509,22 +491,18 @@ def scenario_deformation(config: ExperimentConfig) -> tuple[list[ReportRow], dic
         coeffs[0] = 0.3 * np.cos(2 * np.pi * t)
         return coeffs
 
-    from .flows import harmonic_isotopy
-
     wiggle = harmonic_isotopy(torus, coeffs_of_t, config.steps)
     composite = compose_pointwise(wiggle, hs)
     straightened, report = hofer_mod.fgeo_deformation(composite)
     out.add("deform-06-straighten-harmonic", "straightened path is Hamiltonian",
-            report.harmonic_residual, 1e-6, started=t0)
+            report.harmonic_residual, 1e-6)
     out.add("deform-07-straighten-endpoint", "straightening preserves endpoints",
             report.endpoint_gap, 1e-6)
     return out.rows, {}
 
 
-def scenario_norm_comparison(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
-    bench = Workbench(config)
+def scenario_norm_comparison(bench: Workbench) -> tuple[list[ReportRow], dict]:
     out = _Timer()
-    t0 = time.perf_counter()
     hs = bench.hamiltonian_shear
     fluxed = concat_right(hs, bench.translation_loop, with_generator=True)
     report = hofer_mod.norm_comparison_check(
@@ -532,13 +510,12 @@ def scenario_norm_comparison(config: ExperimentConfig) -> tuple[list[ReportRow],
         fluxed_path=fluxed, matching_loop=bench.translation_loop,
     )
     out.add("normcmp-01-trivial-branch", "comparison with constant 6",
-            -report.margin_six, 0.0, started=t0)
+            -report.margin_six, 0.0)
     out.add("normcmp-02-lattice-branch", "comparison with constant 72/5",
             -(report.margin_72_5 if report.margin_72_5 is not None else -1.0), 0.0)
     out.add("normcmp-03-combined", "comparison with constant 144/5",
             -report.margin_144_5, 0.0)
 
-    t0 = time.perf_counter()
     triv = identity_isotopy(bench.torus, 50)
     resid = hofer_mod.energy_invariance_check(
         hs.time_one(),
@@ -546,11 +523,12 @@ def scenario_norm_comparison(config: ExperimentConfig) -> tuple[list[ReportRow],
         [("trivial", triv)],
     )
     out.add("normcmp-04-energy-invariance", "loop concatenation invariance",
-            resid, 1e-9, started=t0)
+            resid, 1e-9)
     return out.rows, {}
 
 
-def scenario_factorization2(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
+def scenario_factorization2(bench: Workbench) -> tuple[list[ReportRow], dict]:
+    config = bench.config
     out = _Timer()
     res = min(config.resolution, 16)
     steps = min(config.steps, 100)
@@ -562,15 +540,11 @@ def scenario_factorization2(config: ExperimentConfig) -> tuple[list[ReportRow], 
         vec[..., 2] = 0.4 * (1 + np.cos(2 * np.pi * p[..., 3])) / 2
         return vec
 
-    from .flows import TimeField
-
-    t0 = time.perf_counter()
     iso = flow(TimeField(torus4, product_shear, "symplectic"), steps)
     report = flux_mod.factorization2_check(iso, time_samples=21)
     out.add("fact2-01-product-shear", "wedge factorization on the 4-torus",
-            report.residual, 1e-4, started=t0)
+            report.residual, 1e-4)
 
-    t0 = time.perf_counter()
     def translation4(t, p):
         vec = np.zeros_like(p)
         vec[..., 0] = 1.0
@@ -579,15 +553,14 @@ def scenario_factorization2(config: ExperimentConfig) -> tuple[list[ReportRow], 
     iso2 = flow(TimeField(torus4, translation4, "symplectic"), max(50, steps // 2))
     rep2 = flux_mod.factorization2_check(iso2, time_samples=11)
     out.add("fact2-02-translation", "wedge factorization of a loop",
-            rep2.residual, 1e-9, started=t0)
+            rep2.residual, 1e-9)
 
-    t0 = time.perf_counter()
     ham = TrigHamiltonian(torus4, np.random.default_rng(config.seed + 11),
                           amplitude=0.05)
     iso3 = flow(ham.field(), max(50, steps // 2))
     rep3 = flux_mod.factorization2_check(iso3, time_samples=11)
     out.add("fact2-03-hamiltonian", "vanishing wedge flux of Hamiltonian flows",
-            max(rep3.residual, float(np.abs(rep3.lhs).max())), 1e-3, started=t0)
+            max(rep3.residual, float(np.abs(rep3.lhs).max())), 1e-3)
     return out.rows, {}
 
 
@@ -607,47 +580,51 @@ def scenario_names() -> list[str]:
     return sorted(_SCENARIOS)
 
 
-def run_scenario(name: str, config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
+def run_scenario(
+    name: str, config: ExperimentConfig, bench: Workbench | None = None
+) -> tuple[list[ReportRow], dict]:
+    """Run one named scenario on ``bench`` (a fresh workbench by default)."""
     if name not in _SCENARIOS:
         raise KeyError(name)
-    return _SCENARIOS[name](config)
+    if bench is None:
+        bench = Workbench(config)
+    elif bench.config != config:
+        raise ValueError("workbench was built for a different configuration")
+    return _SCENARIOS[name](bench)
 
 
 # ---------------------------------------------------------------------------
 # displacement checks shared by verify
 # ---------------------------------------------------------------------------
 
+# random base-point triangles tried by disp-03; three must have zero winding
+_TRANSFER_ATTEMPTS = 32
 
-def _displacement_rows(config: ExperimentConfig) -> list[ReportRow]:
-    bench = Workbench(config)
+
+def _displacement_rows(bench: Workbench) -> list[ReportRow]:
+    config = bench.config
     torus = bench.torus
     out = _Timer()
     g = shear_profile(config.shear_amplitude)
     coeffs = bench.dx.harmonic
     shear_map = bench.shear.time_one()
 
-    t0 = time.perf_counter()
     nu = disp_mod.displacement(shear_map, bench.dx, np.zeros(torus.dim))
     expected = g(torus.grid[1]) - config.shear_amplitude / 2.0
     out.add("disp-01-shear-field", "displacement of the coordinate form",
-            float(np.abs(nu.samples - expected).max()), 1e-7, started=t0)
+            float(np.abs(nu.samples - expected).max()), 1e-7)
 
-    t0 = time.perf_counter()
     z = np.array([0.37, 0.81] + [0.11] * (torus.dim - 2))
     hodge_val = float(nu.at(z)[0])
     geo_val = disp_mod.displacement_geodesic_value(
         shear_map, bench.dx, np.zeros(torus.dim), z
     )
     out.add("disp-02-route-agreement", "potential vs geodesic quadrature",
-            abs(hodge_val - geo_val), 1e-7, started=t0)
+            abs(hodge_val - geo_val), 1e-7)
 
-    t0 = time.perf_counter()
     rng = np.random.default_rng(config.seed + 13)
-    from .torus import minimal_geodesic
-
-    worst = 0.0
-    found = 0
-    while found < 3:
+    residuals = []
+    for _ in range(_TRANSFER_ATTEMPTS):
         p0, p1, p2 = rng.uniform(0.05, 0.95, size=(3, torus.dim))
         report = disp_mod.base_point_transfer_residual(
             shear_map, bench.dx,
@@ -656,39 +633,34 @@ def _displacement_rows(config: ExperimentConfig) -> list[ReportRow]:
             minimal_geodesic(p0, p1, 129),
         )
         if report.hypothesis_met:
-            worst = max(worst, report.residual)
-            found += 1
+            residuals.append(report.residual)
+            if len(residuals) == 3:
+                break
     out.add("disp-03-base-transfer", "base point transfer balance",
-            worst, 1e-8, started=t0)
+            max(residuals) if len(residuals) == 3 else 1.0, 1e-8)
 
-    t0 = time.perf_counter()
     p = np.array([0.0, 0.25] + [0.0] * (torus.dim - 2))
     e = disp_mod.energy(shear_map, coeffs, p)
     out.add("disp-04-shear-energy", "energy of the standard shear",
-            abs(e.value - (-0.5 * config.shear_amplitude)), 1e-4, started=t0)
+            abs(e.value - (-0.5 * config.shear_amplitude)), 1e-4)
 
-    t0 = time.perf_counter()
     resid = disp_mod.gf10_residual(bench.shear, coeffs, p)
     out.add("disp-05-energy-decomposition", "energy decomposition identity",
-            resid, 1e-5, started=t0)
+            resid, 1e-5)
 
-    t0 = time.perf_counter()
     alt = concat_right(bench.shear, bench.hamiltonian_loop)
     e1 = disp_mod.energy_via_isotopy(bench.shear, coeffs, p)
     e2 = disp_mod.energy_via_isotopy(alt, coeffs, p)
     out.add("disp-06-choice-independence", "energy independent of the path",
-            abs(e1.decomposition - e2.decomposition), 1e-6, started=t0)
+            abs(e1.decomposition - e2.decomposition), 1e-6)
 
-    t0 = time.perf_counter()
     r3 = disp_mod.iteration_law_residual(bench.shear, 3, coeffs, (0.1, 0.2))
     out.add("disp-07-iteration-law", "energy iteration law, power 3",
-            r3, 1e-5, started=t0)
-    t0 = time.perf_counter()
+            r3, 1e-5)
     rm2 = disp_mod.iteration_law_residual(bench.shear, -2, coeffs, (0.1, 0.2))
     out.add("disp-08-iteration-law-negative", "energy iteration law, power -2",
-            rm2, 1e-5, started=t0)
+            rm2, 1e-5)
 
-    t0 = time.perf_counter()
     maps = []
     for i in (1, 2, 5, 20):
         def gi(y, i=i):
@@ -698,40 +670,35 @@ def _displacement_rows(config: ExperimentConfig) -> list[ReportRow]:
     rows = disp_mod.continuity_check(maps, shear_map, coeffs, np.zeros(torus.dim))
     worst = max((r.energy_gap - r.bound) for r in rows if r.checked)
     out.add("disp-09-continuity", "energy continuity modulus",
-            worst, 0.0, started=t0)
+            worst, 0.0)
     return out.rows
 
 
-def _hofer_rows(config: ExperimentConfig) -> list[ReportRow]:
-    bench = Workbench(config)
+def _hofer_rows(bench: Workbench) -> list[ReportRow]:
+    config = bench.config
     torus = bench.torus
     out = _Timer()
 
-    t0 = time.perf_counter()
     rep = hofer_mod.lengths(bench.hamiltonian_shear,
                             validate_tol=config.flow_tol(100.0))
     out.add("hofer-01-shear-length", "length of the Hamiltonian shear",
-            abs(rep.l1_length - 1.0 / np.pi), 1e-9, started=t0)
+            abs(rep.l1_length - 1.0 / np.pi), 1e-9)
 
-    t0 = time.perf_counter()
     tr = translation_isotopy(torus, config.steps, (0.4, 0.0))
     rep = hofer_mod.lengths(tr)
     out.add("hofer-02-translation-length", "length of a harmonic path",
-            abs(rep.l1_length - 0.4), 1e-9, started=t0)
+            abs(rep.l1_length - 0.4), 1e-9)
 
-    t0 = time.perf_counter()
     samples = np.zeros((torus.dim,) + torus.shape)
     samples[0] = 0.7
     out.add("hofer-03-field-norm", "velocity norm of a constant field",
             abs(hofer_mod.vector_field_b_norm(torus, samples) - 0.7),
-            1e-12, started=t0)
+            1e-12)
 
-    t0 = time.perf_counter()
     cut = make_cutoff(1.0 / 32.0)
     out.add("hofer-04-cutoff-slope", "cutoff slope bound",
-            cut.sup_slope, 1e-3, bound=1.2, started=t0)
+            cut.sup_slope, 1e-3, bound=1.2)
 
-    t0 = time.perf_counter()
     concat = concat_left(tr, bench.hamiltonian_shear, steps=1600,
                          with_generator=True)
     gap = abs(
@@ -740,23 +707,21 @@ def _hofer_rows(config: ExperimentConfig) -> list[ReportRow]:
         - hofer_mod.lengths(bench.hamiltonian_shear).l1_length
     )
     out.add("hofer-05-length-additivity", "concatenation length additivity",
-            gap, 1e-9, started=t0)
+            gap, 1e-9)
 
-    t0 = time.perf_counter()
     linf_concat = hofer_mod.lengths(concat).linf_length
     linf_bound = 2.4 * (
         hofer_mod.lengths(tr).linf_length
         + hofer_mod.lengths(bench.hamiltonian_shear).linf_length
     )
     out.add("hofer-06-sup-length-bound", "sup length concatenation bound",
-            linf_concat, 0.0, bound=linf_bound, started=t0)
+            linf_concat, 0.0, bound=linf_bound)
 
-    t0 = time.perf_counter()
     split = hofer_mod.hodge_split_isotopy(bench.hamiltonian_shear)
     out.add("hofer-07-hodge-split", "isotopy factorization residuals",
             max(split.remainder_flux,
                 split.harmonic_path.time_one().c0_distance()),
-            1e-9, started=t0)
+            1e-9)
     return out.rows
 
 
@@ -767,15 +732,17 @@ def _hofer_rows(config: ExperimentConfig) -> list[ReportRow]:
 
 def run_verify(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     """The full invariant suite across the flux, displacement and length
-    modules; ~40 rows, all expected to pass at default sizes."""
+    modules; ~60 rows, all expected to pass at default sizes.  One
+    workbench serves every check."""
+    bench = Workbench(config)
     rows: list[ReportRow] = []
     extras: dict = {"tables": {}}
     for name in ("flux", "defect-survey", "separation", "rigidity",
                  "iteration-growth", "norm-comparison", "deformation",
                  "factorization2"):
-        sub_rows, sub_extras = run_scenario(name, config)
+        sub_rows, sub_extras = run_scenario(name, config, bench)
         rows.extend(sub_rows)
         extras["tables"].update(sub_extras.get("tables", {}))
-    rows.extend(_displacement_rows(config))
-    rows.extend(_hofer_rows(config))
+    rows.extend(_displacement_rows(bench))
+    rows.extend(_hofer_rows(bench))
     return rows, extras

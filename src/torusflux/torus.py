@@ -337,19 +337,6 @@ class OneForm:
             return 0.0
         return float(np.abs(self.residual).max())
 
-    def cohomology_class(self) -> "CohomologyClass":
-        return CohomologyClass(self.harmonic.copy())
-
-
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Degree-1 de Rham class in the basis {[dx_i]}."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-
 
 @dataclass(frozen=True)
 class FluxClass:
@@ -441,12 +428,13 @@ def integrate_form_along_path(
     return float(np.einsum("sd,sd->", weighted, segs))
 
 
-def poincare_pair(c: CohomologyClass | np.ndarray, flux: FluxClass | np.ndarray) -> float:
+def poincare_pair(c: np.ndarray, flux: FluxClass | np.ndarray) -> float:
     """Poincare pairing of a degree-1 class with a flux class.
 
-    On the torus with the chosen bases this is the plain dot product.
+    The class is given by its coefficients in the basis {[dx_i]}; on the
+    torus with the chosen bases the pairing is the plain dot product.
     """
-    cv = c.coeffs if isinstance(c, CohomologyClass) else np.asarray(c, dtype=float)
+    cv = np.asarray(c, dtype=float)
     fv = flux.pairings if isinstance(flux, FluxClass) else np.asarray(flux, dtype=float)
     if cv.shape != fv.shape:
         raise ValueError(f"dimension mismatch {cv.shape} vs {fv.shape}")

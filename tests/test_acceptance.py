@@ -7,13 +7,13 @@ pieces with their own stated sample sizes.  Each criterion prints one
 pass/fail line (run pytest with -s to see them on success).
 """
 
-import io
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from torusflux import FlatTorus, OneForm
+from torusflux import FlatTorus, OneForm, scenarios
 from torusflux.config import ExperimentConfig
 from torusflux.families import (
     hamiltonian_loop,
@@ -21,9 +21,14 @@ from torusflux.families import (
     translation_loop,
 )
 from torusflux.flux import loop_orbit_constancy, order_cycle_test, orbit_of
+from torusflux.reporting import write_csv
 from torusflux.scenarios import run_verify
 
 FULL = ExperimentConfig().validate()  # N = 64, K = 200, 200 pairs, seed 0
+SMALL = ExperimentConfig(
+    resolution=16, steps=50, pair_count=2, cocycle_pairs=2,
+    sample_count=8, sequence_length=2, iterate_count=3,
+).validate()
 
 
 @pytest.fixture(scope="module")
@@ -197,31 +202,45 @@ def test_c13_rigidity(verify_run):
             f"max sampled winding of the limit loop {winding:.0f}")
 
 
-def test_c14_reproducibility_and_runtime(verify_run):
+def test_c14_reproducibility_and_runtime(verify_run, tmp_path):
     _, _, elapsed = verify_run
-    small = ExperimentConfig(
-        resolution=16, steps=50, pair_count=2, cocycle_pairs=2,
-        sample_count=8, sequence_length=2, iterate_count=3,
-    ).validate()
     blobs = []
-    for _ in range(2):
-        rows, _extras = run_verify(small)
-        buf = io.StringIO()
-        import csv as _csv
-
-        from torusflux.reporting import CSV_FIELDS, _format
-
-        writer = _csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_FIELDS)
-        for row in sorted(rows, key=lambda r: r.check_id):
-            writer.writerow([row.check_id, row.anchor, _format(row.value),
-                             _format(row.bound), _format(row.tolerance),
-                             _format(row.passed)])
-        blobs.append(buf.getvalue().encode())
+    for run in range(2):
+        rows, _extras = run_verify(SMALL)
+        write_csv(rows, tmp_path / f"report{run}.csv")
+        blobs.append((tmp_path / f"report{run}.csv").read_bytes())
     ok = blobs[0] == blobs[1] and elapsed < 300.0
     _report(14, "reproducibility and runtime", ok,
             f"verify CSV byte-identical across runs; full-size suite "
             f"{elapsed:.0f} s < 300 s")
+
+
+def test_verify_builds_each_canonical_isotopy_once(monkeypatch):
+    # keyed by amplitude: the rigidity sequence adds rescaled Hamiltonian loops
+    names = ("standard_shear", "hamiltonian_shear", "translation_loop",
+             "hamiltonian_loop")
+    builds = Counter()
+    for name in names:
+        def counted(*args, _build=getattr(scenarios, name), _name=name, **kwargs):
+            builds[_name, kwargs.get("amplitude")] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, name, counted)
+    run_verify(SMALL)
+    assert {name for name, _ in builds} == set(names)
+    assert set(builds.values()) == {1}, builds
+
+
+def test_base_transfer_row_fails_when_no_triangle_qualifies(monkeypatch):
+    from torusflux import displacement
+
+    def never_closed(psi, form, xi, gamma, connector):
+        return displacement.TransferReport(0.0, np.array([1, 0]), False)
+
+    monkeypatch.setattr(displacement, "base_point_transfer_residual", never_closed)
+    rows = {r.check_id: r for r in scenarios._displacement_rows(scenarios.Workbench(SMALL))}
+    assert rows["disp-03-base-transfer"].value == 1.0
+    assert not rows["disp-03-base-transfer"].passed
 
 
 def test_all_verify_rows_pass(verify_run):

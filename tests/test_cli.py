@@ -73,6 +73,23 @@ class TestScenarioCommand:
         )
         assert result.exit_code == 2
 
+    def test_error_inside_scenario_is_not_a_usage_error(
+        self, runner, small_config, tmp_path, monkeypatch
+    ):
+        from torusflux import scenarios
+
+        def broken(bench):
+            raise KeyError("missing table")
+
+        monkeypatch.setitem(scenarios._SCENARIOS, "iteration-growth", broken)
+        result = runner.invoke(
+            main,
+            ["scenario", "iteration-growth", "--config", str(small_config),
+             "--out", str(tmp_path)],
+        )
+        assert isinstance(result.exception, KeyError)
+        assert result.exit_code != 2
+
     def test_missing_config_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main,

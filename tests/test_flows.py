@@ -48,6 +48,12 @@ class TestFlow:
     def test_identity_at_zero(self, shear):
         assert np.abs(shear.disp[0]).max() == 0.0
 
+    def test_arrays_read_only(self, shear):
+        with pytest.raises(ValueError):
+            shear.disp[1, 0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            shear.times[1] = 0.0
+
     def test_min_steps(self, torus):
         with pytest.raises(ValueError):
             flow(constant_field(torus, (0.1, 0.0)), 10)

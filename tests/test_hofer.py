@@ -15,7 +15,6 @@ from torusflux.hofer import (
     hodge_split_isotopy,
     iteration_growth_check,
     lengths,
-    lem1_bound_residual,
     mcduff_deformation,
     norm_comparison_check,
     vector_field_b_norm,
@@ -118,7 +117,7 @@ class TestDeformation:
         )
         assert fam.sup_x_b == pytest.approx(c, abs=1e-12)
         assert abs(fam.sup_v_b - self.oracle_sup_v(c)) < 5e-3 * max(c, 1.0)
-        assert lem1_bound_residual(fam) > 0.0
+        assert fam.slope_margin() > 0.0
         lhs = fam.sup_v_b / (1 + fam.sup_v_b)
         assert lhs <= 6 * fam.sup_x_b
 
