@@ -97,7 +97,7 @@ def displacement_geodesic_value(
     torus = psi.torus
     beta = pullback_difference(psi, form)
     path = minimal_geodesic(np.asarray(p, float), np.asarray(z, float), samples)
-    return integrate_form_along_path(torus, beta, path, spectral=True)
+    return integrate_form_along_path(torus, beta, path)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def base_point_transfer_residual(
         raise ValueError("concatenated loop does not close on the torus")
     beta = pullback_difference(psi, form)
     vals = [
-        integrate_form_along_path(torus, beta, path, spectral=True)
+        integrate_form_along_path(torus, beta, path)
         for path in (xi, gamma, connector)
     ]
     residual = abs(vals[0] - vals[1] - vals[2])
@@ -357,10 +357,7 @@ def separation_check(
     if c0_gap >= delta0:
         return SeparationReport(delta0, c0_gap, False, None, None)
     stride = max(1, torus.points.shape[0] // samples)
-    pts = torus.points[::stride]
-    from .flux import _orbit_batch
-
-    orbits = _orbit_batch(phi_iso, pts)
+    orbits = np.moveaxis(orbit_of(phi_iso, torus.points[::stride]).path, 0, 1)
     lengths = np.linalg.norm(np.diff(orbits, axis=1), axis=2).sum(axis=1)
     gaps = torus_distance(orbits[:, -1, :], orbits[:, 0, :])
     margins = lengths - gaps

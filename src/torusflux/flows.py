@@ -155,7 +155,11 @@ def constant_field(torus: FlatTorus, velocity) -> TimeField:
 
 @dataclass(frozen=True)
 class GridMap:
-    """Torus diffeomorphism sampled on the grid as a lifted displacement."""
+    """Torus diffeomorphism sampled on the grid as a lifted displacement.
+
+    The image of the grid is ``grid + disp``, read exactly; off-grid points
+    go through a periodic cubic spline of ``disp``, built once per map.
+    """
 
     torus: FlatTorus
     disp: np.ndarray  # (d,) + grid
@@ -184,25 +188,40 @@ class GridMap:
         """Lifted image of the grid, shape ``(d,) + grid``."""
         return self.torus.grid + self.disp
 
+    def image_points(self) -> np.ndarray:
+        """Lifted image of the grid as a point set, shape ``(N^d, d)``."""
+        return self.grid_image().reshape(self.torus.dim, -1).T
+
+    def compose_field(self, samples: np.ndarray | PeriodicInterp) -> np.ndarray:
+        """Grid samples of ``f o self`` in the layout of f's samples.
+
+        ``samples`` are grid samples of f, scalar or stacked ``(lead,) +
+        grid``, or a :class:`PeriodicInterp` already built from them; f is
+        evaluated by cubic spline at the exact grid image.
+        """
+        if not isinstance(samples, PeriodicInterp):
+            samples = PeriodicInterp(self.torus, samples)
+        vals = samples.at(self.image_points())  # (N^d,) + lead
+        return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + self.torus.shape)
+
     def compose(self, other: "GridMap", spectral: bool = True) -> "GridMap":
         """self after other: ``x -> self(other(x))``.
 
-        Map-level compositions default to trigonometric evaluation of the
-        displacement at the image points; the spline error of the cubic
-        route would otherwise dominate pullback identities checked at 1e-5.
+        The displacement of self is evaluated at the exact grid image of
+        other.  The default trigonometric evaluation is free of spline
+        error, which would otherwise dominate pullback identities checked at
+        1e-5; ``spectral=False`` uses the cached cubic spline of self.
         """
         from .torus import eval_spectral
 
-        image = other.apply(self.torus.points)
         if spectral:
+            image = other.image_points()
             vals = np.stack(
                 [eval_spectral(self.torus, self.disp[j], image)
                  for j in range(self.torus.dim)]
             ).reshape((self.torus.dim,) + self.torus.shape)
         else:
-            vals = self._interp.at(image).T.reshape(
-                (self.torus.dim,) + self.torus.shape
-            )
+            vals = other.compose_field(self._interp)
         return GridMap(self.torus, other.disp + vals)
 
     def power(self, k: int) -> "GridMap":
@@ -273,21 +292,13 @@ class GridMap:
 
     def pullback(self, components: np.ndarray) -> np.ndarray:
         """Pullback of a sampled 1-form: ``(phi^* a)_i = (Da)_ji a_j(phi)``."""
-        components = self.torus.check_vector(components)
-        image = self.apply(self.torus.points)
-        vals = PeriodicInterp(self.torus, components).at(image)
-        vals = vals.T.reshape((self.torus.dim,) + self.torus.shape)
-        jac = self.jacobian()
-        return np.einsum("ji...,j...->i...", jac, vals)
+        vals = self.compose_field(self.torus.check_vector(components))
+        return np.einsum("ji...,j...->i...", self.jacobian(), vals)
 
     def c0_distance(self, other: "GridMap | None" = None) -> float:
         """Sup over the grid of the flat distance to another map (default id)."""
-        mine = self.grid_image().reshape(self.torus.dim, -1).T
-        if other is None:
-            theirs = self.torus.points
-        else:
-            theirs = other.grid_image().reshape(self.torus.dim, -1).T
-        return float(torus_distance(mine, theirs).max())
+        theirs = self.torus.points if other is None else other.image_points()
+        return float(torus_distance(self.image_points(), theirs).max())
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +416,7 @@ class Isotopy:
         x = np.asarray(x, dtype=float)
         out = np.empty((len(self.times),) + x.shape)
         for k in range(len(self.times)):
-            out[k] = x + PeriodicInterp(self.torus, self.disp[k]).at(x)
+            out[k] = GridMap(self.torus, self.disp[k]).apply(x)
         return out
 
     def velocity_samples(self, k: int) -> np.ndarray:
@@ -494,10 +505,7 @@ def velocity(isotopy: Isotopy, t: float, from_data: bool = True) -> np.ndarray:
     if abs(t - isotopy.times[k]) > 1e-12:
         raise ValueError("data velocities are available at grid times only")
     w = isotopy.velocity_samples(k)  # at start points
-    inv = isotopy.map_at(isotopy.times[k]).inverse()
-    pre = inv.apply(isotopy.torus.points)
-    vals = PeriodicInterp(isotopy.torus, w).at(pre)
-    return vals.T.reshape((isotopy.torus.dim,) + isotopy.torus.shape)
+    return isotopy.map_at(isotopy.times[k]).inverse().compose_field(w)
 
 
 def generator_of(isotopy: Isotopy, from_data: bool = False) -> GeneratorPair:
@@ -564,21 +572,21 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     """The inverse isotopy ``t -> phi_t^{-1}`` with continuous lifts.
 
     Each slice's Newton inversion is warm-started from the previous slice,
-    so the chain follows the path continuously.
+    so the chain follows the path continuously.  The forward slice's spline
+    serves both the Newton solve and the displacement ``-u(pre)`` at the
+    preimages.
     """
     torus = isotopy.torus
     stack = np.empty_like(isotopy.disp)
     stack[0] = 0.0
     warm: np.ndarray | None = None
     for k in range(1, isotopy.steps + 1):
+        fwd = GridMap(torus, isotopy.disp[k])
         try:
-            inv = GridMap(torus, isotopy.disp[k]).inverse(initial=warm)
+            warm = fwd.inverse(initial=warm).image_points()
         except InversionError as exc:
             raise InversionError(f"time slice {k}: {exc}") from exc
-        pre = inv.apply(torus.points)
-        warm = pre
-        u_vals = PeriodicInterp(torus, isotopy.disp[k]).at(pre)
-        stack[k] = -u_vals.T.reshape((torus.dim,) + torus.shape)
+        stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
     gen = None
     if isotopy.gen is not None or isotopy.provenance is not None:
         gen = _inverse_generator(isotopy)
@@ -595,16 +603,12 @@ def _inverse_generator(isotopy: Isotopy) -> GeneratorPair | None:
         return None
     torus = isotopy.torus
     fwd = generator_of(isotopy)
-    k1 = isotopy.steps + 1
-    U = np.empty((k1,) + torus.shape)
-    H = -fwd.H.copy()
-    for k in range(k1):
-        image = torus.points + PeriodicInterp(torus, isotopy.disp[k]).at(torus.points)
-        u_vals = PeriodicInterp(torus, fwd.U[k]).at(image).reshape(torus.shape)
-        lift_term = np.tensordot(fwd.H[k], isotopy.disp[k], axes=(0, 0))
-        total = -(u_vals + lift_term)
+    U = np.empty((isotopy.steps + 1,) + torus.shape)
+    for k, disp in enumerate(isotopy.disp):
+        u_vals = GridMap(torus, disp).compose_field(fwd.U[k])
+        total = -(u_vals + np.tensordot(fwd.H[k], disp, axes=(0, 0)))
         U[k] = total - total.mean()
-    return GeneratorPair(isotopy.times.copy(), U, H)
+    return GeneratorPair(isotopy.times.copy(), U, -fwd.H)
 
 
 def compose_pointwise(phi: Isotopy, psi: Isotopy) -> Isotopy:
@@ -617,9 +621,9 @@ def compose_pointwise(phi: Isotopy, psi: Isotopy) -> Isotopy:
     stack = np.empty_like(phi.disp)
     stack[0] = 0.0
     for k in range(1, phi.steps + 1):
-        image = torus.points + PeriodicInterp(torus, psi.disp[k]).at(torus.points)
-        u_vals = PeriodicInterp(torus, phi.disp[k]).at(image)
-        stack[k] = psi.disp[k] + u_vals.T.reshape((torus.dim,) + torus.shape)
+        stack[k] = GridMap(torus, phi.disp[k]).compose(
+            GridMap(torus, psi.disp[k]), spectral=False
+        ).disp
     kind = "conservative" if "general" not in (phi.kind, psi.kind) else "general"
     return Isotopy(torus, phi.times.copy(), stack, kind=kind)
 
@@ -630,22 +634,16 @@ def c0_distance(phi: Isotopy, psi: Isotopy | None = None) -> float:
     ``psi=None`` compares against the constant identity path.  Different
     time grids are resampled onto the finer one.
     """
-    if psi is not None and phi.steps != psi.steps:
-        fine, coarse = (phi, psi) if phi.steps > psi.steps else (psi, phi)
-        worst = 0.0
-        for k, t in enumerate(fine.times):
-            a = fine.disp[k].reshape(fine.torus.dim, -1).T + fine.torus.points
-            b = coarse.disp_at(t).reshape(fine.torus.dim, -1).T + fine.torus.points
-            worst = max(worst, float(torus_distance(a, b).max()))
-        return worst
+    if psi is not None and psi.steps > phi.steps:
+        phi, psi = psi, phi
     worst = 0.0
-    for k in range(len(phi.times)):
-        a = phi.disp[k].reshape(phi.torus.dim, -1).T + phi.torus.points
-        if psi is None:
-            b = phi.torus.points
-        else:
-            b = psi.disp[k].reshape(phi.torus.dim, -1).T + phi.torus.points
-        worst = max(worst, float(torus_distance(a, b).max()))
+    for k, t in enumerate(phi.times):
+        other = None
+        if psi is not None:
+            other = GridMap(
+                phi.torus, psi.disp[k] if psi.steps == phi.steps else psi.disp_at(t)
+            )
+        worst = max(worst, GridMap(phi.torus, phi.disp[k]).c0_distance(other))
     return worst
 
 

@@ -49,11 +49,14 @@ from .torus import (
 
 @dataclass(frozen=True)
 class Orbit:
-    """Lifted orbit of a point under an isotopy."""
+    """Lifted orbit of a point (or of each point of a batch) under an isotopy.
 
-    base: np.ndarray
+    ``length`` is defined for the orbit of a single point.
+    """
+
+    base: np.ndarray  # (..., d)
     times: np.ndarray
-    path: np.ndarray  # (K+1, d), lifted
+    path: np.ndarray  # (K+1, ..., d), lifted
 
     @property
     def displacement(self) -> np.ndarray:
@@ -75,19 +78,19 @@ class Orbit:
 
 
 def orbit_of(isotopy: Isotopy, x, reintegrate: bool = True) -> Orbit:
-    """Orbit of a point, re-integrated from the provenance field if possible.
+    """Orbits of a point or a point batch (..., d).
 
-    Re-integration gives RK4-accurate off-grid orbits; otherwise the lifted
+    With ``reintegrate`` the provenance field, if any, is re-integrated,
+    which gives RK4-accurate off-grid orbits; otherwise the lifted
     displacement field is interpolated.
     """
     x = np.asarray(x, dtype=float)
+    pts = x.reshape(-1, isotopy.torus.dim)
     if reintegrate and isotopy.provenance is not None:
-        path = integrate_trajectories(
-            isotopy.provenance, x[None, :], isotopy.steps
-        )[:, 0, :]
+        traj = integrate_trajectories(isotopy.provenance, pts, isotopy.steps)
     else:
-        path = isotopy.eval_orbit(x)
-    return Orbit(x, isotopy.times.copy(), path)
+        traj = isotopy.eval_orbit(pts)
+    return Orbit(x, isotopy.times.copy(), traj.reshape(traj.shape[:1] + x.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +109,10 @@ def flux_function(form: OneForm, isotopy: Isotopy, t: float) -> np.ndarray:
         raise ValueError(f"time {t} outside [0, 1]")
     if form.coexact_sup > 1e-8:
         raise ValueError("flux function requires a closed form")
-    torus = isotopy.torus
-    disp = isotopy.disp_at(t)
-    out = np.tensordot(form.harmonic, disp, axes=(0, 0))
+    phi = isotopy.map_at(t)
+    out = np.tensordot(form.harmonic, phi.disp, axes=(0, 0))
     if np.any(form.potential):
-        image = torus.points + disp.reshape(torus.dim, -1).T
-        vals = PeriodicInterp(torus, form.potential).at(image).reshape(torus.shape)
-        out = out + vals - form.potential
+        out = out + phi.compose_field(form.potential) - form.potential
     return out
 
 
@@ -175,16 +175,13 @@ def cocycle_residual(
     pot_interp = PeriodicInterp(torus, pot) if pot is not None else None
     for k in ks:
         t = float(phi.times[k])
-        image = torus.points + psi.disp[k].reshape(torus.dim, -1).T
-        u_phi_at = PeriodicInterp(torus, phi.disp[k]).at(image)
-        composed_disp = psi.disp[k] + u_phi_at.T.reshape((torus.dim,) + torus.shape)
-        lhs = np.tensordot(form.harmonic, composed_disp, axes=(0, 0))
+        psi_k = GridMap(torus, psi.disp[k])
+        composed = GridMap(torus, phi.disp[k]).compose(psi_k, spectral=False)
+        lhs = np.tensordot(form.harmonic, composed.disp, axes=(0, 0))
         if pot_interp is not None:
-            comp_image = torus.points + composed_disp.reshape(torus.dim, -1).T
-            lhs = lhs + pot_interp.at(comp_image).reshape(torus.shape) - pot
+            lhs = lhs + composed.compose_field(pot_interp) - pot
         term_psi = flux_function(form, psi, t)
-        f_phi = flux_function(form, phi, t)
-        pulled = PeriodicInterp(torus, f_phi).at(image).reshape(torus.shape)
+        pulled = psi_k.compose_field(flux_function(form, phi, t))
         worst = max(worst, float(np.abs(lhs - term_psi - pulled).max()))
     return worst
 
@@ -280,16 +277,17 @@ def factorization2_check(isotopy: Isotopy, time_samples: int | None = None) -> F
     )
     pulled = np.zeros((len(ks), torus.dim) + torus.shape)
     for row, k in enumerate(ks):
+        slice_map = GridMap(torus, isotopy.disp[k])
         if isotopy.provenance is not None:
             vel = isotopy.provenance(
-                isotopy.times[k], torus.grid.reshape(torus.dim, -1).T + isotopy.disp[k].reshape(torus.dim, -1).T
+                isotopy.times[k], slice_map.image_points()
             ).T.reshape((torus.dim,) + torus.shape)
         else:
-            w = isotopy.velocity_samples(k)
-            vel = w  # velocity along the orbit, sampled at start points
+            vel = isotopy.velocity_samples(k)  # along the orbit, at start points
         coeffs_at_image = contract_field_to_coeffs(vel)
-        jac = GridMap(torus, isotopy.disp[k]).jacobian()
-        pulled[row] = np.einsum("ji...,j...->i...", jac, coeffs_at_image)
+        pulled[row] = np.einsum(
+            "ji...,j...->i...", slice_map.jacobian(), coeffs_at_image
+        )
     omega_flux = np.trapezoid(
         pulled.reshape(len(ks), torus.dim, -1).mean(axis=2),
         isotopy.times[ks],
@@ -339,20 +337,10 @@ def loop_orbit_constancy(
         pts = torus.points[:: max(1, torus.points.shape[0] // 64)]
     else:
         pts = np.atleast_2d(sample_points)
-    orbits = _orbit_batch(isotopy, pts)
     deviation = 0.0
-    for path in orbits:
+    for path in np.moveaxis(orbit_of(isotopy, pts).path, 0, 1):
         deviation = max(deviation, abs(line_integral(form, path) - value))
     return float(value), float(deviation)
-
-
-def _orbit_batch(isotopy: Isotopy, pts: np.ndarray) -> np.ndarray:
-    """Lifted orbits of a point batch, shape (M, K+1, d)."""
-    if isotopy.provenance is not None:
-        traj = integrate_trajectories(isotopy.provenance, pts, isotopy.steps)
-    else:
-        traj = isotopy.eval_orbit(pts)
-    return np.moveaxis(traj, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -494,8 +482,8 @@ def rigidity_experiment(
     if sample_points is None:
         rng = np.random.default_rng(0)
         sample_points = rng.uniform(size=(16, torus.dim))
-    orbits = _orbit_batch(limit_loop, np.atleast_2d(sample_points))
-    windings = np.rint(orbits[:, -1, :] - orbits[:, 0, :]).astype(int)
+    orbits = orbit_of(limit_loop, np.atleast_2d(sample_points))
+    windings = np.rint(orbits.displacement).astype(int)
     return RigidityReport(True, flux_norms, distances, windings)
 
 

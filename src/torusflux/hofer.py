@@ -37,7 +37,6 @@ from .flows import (
     GeneratorPair,
     GridMap,
     Isotopy,
-    PeriodicInterp,
     contract_field_to_coeffs,
     flow_tolerance,
     generator_of,
@@ -147,8 +146,7 @@ def hodge_split_isotopy(isotopy: Isotopy, tol: float = 1e-3) -> HodgeSplit:
     rem_stack[0] = 0.0
     rem_u = np.empty((k1,) + torus.shape)
     for k in range(k1):
-        shifted = torus.points + shift[k]
-        vals = PeriodicInterp(torus, gen.U[k]).at(shifted).reshape(torus.shape)
+        vals = GridMap(torus, rho_stack[k]).compose_field(gen.U[k])
         rem_u[k] = vals - vals.mean()
     rem_gen = GeneratorPair(gen.times.copy(), rem_u, np.zeros((k1, torus.dim)))
     remainder = Isotopy(
@@ -401,27 +399,17 @@ class EnergySurrogate:
     labels: tuple[str, ...]
     e0: float
     e0_inf: float
-    e0_inverse: float | None = None
-
-    @property
-    def norm_hl(self) -> float:
-        if self.e0_inverse is None:
-            raise ValueError("surrogate was built without inverse energies")
-        return 0.5 * (self.e0 + self.e0_inverse)
 
 
 def energy_surrogate(
     target: GridMap,
     candidates: Sequence[tuple[str, Isotopy]],
     match_tol: float = 1e-6,
-    with_inverse: bool = False,
 ) -> EnergySurrogate:
     """Family minimum of l_B and l_B_inf over isotopies reaching the target.
 
     Candidates whose time-one map misses the target beyond tolerance are
-    rejected; an empty family is an error.  ``with_inverse`` additionally
-    minimizes over the inverse isotopies of the family (needed for the
-    symmetrized norms, and much more expensive).
+    rejected; an empty family is an error.
     """
     kept: list[tuple[str, Isotopy]] = []
     for label, iso in candidates:
@@ -431,14 +419,10 @@ def energy_surrogate(
     if not kept:
         raise ValueError("no candidate isotopy reaches the target map")
     reports = [lengths(iso) for _, iso in kept]
-    e0_inv = None
-    if with_inverse:
-        e0_inv = min(lengths(inverse(iso)).l1_length for _, iso in kept)
     return EnergySurrogate(
         labels=tuple(label for label, _ in kept),
         e0=min(r.l1_length for r in reports),
         e0_inf=min(r.linf_length for r in reports),
-        e0_inverse=e0_inv,
     )
 
 

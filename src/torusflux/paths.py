@@ -26,7 +26,6 @@ from .flows import (
     GeneratorPair,
     GridMap,
     Isotopy,
-    PeriodicInterp,
     generator_of,
     interp_time,
     inverse,
@@ -163,13 +162,10 @@ def concat_right(
     stack = np.empty((len(times), torus.dim) + torus.shape)
     for k in range(half + 1):
         stack[k] = phi.disp_at(float(f.lam(times[k])))
-    end_interp = PeriodicInterp(torus, phi.disp[-1])
+    end = phi.time_one()
     for k in range(half, len(times)):
-        tau = float(f.tau(times[k]))
-        u_psi = psi.disp_at(tau)
-        image = torus.points + u_psi.reshape(torus.dim, -1).T
-        vals = end_interp.at(image)
-        stack[k] = u_psi + vals.T.reshape((torus.dim,) + torus.shape)
+        psi_tau = psi.map_at(float(f.tau(times[k])))
+        stack[k] = end.compose(psi_tau, spectral=False).disp
     stack[0] = 0.0
     gen = None
     if with_generator:
@@ -180,9 +176,7 @@ def concat_right(
         u2, h2 = _reparam_generator(
             psi, f.tau(t[second]), 2.0 * f.deriv(2.0 * t[second] - 1.0)
         )
-        inv_end = GridMap(torus, phi.disp[-1]).inverse()
-        inv_points = inv_end.apply(torus.points)
-        inv_lift = inv_points - torus.points  # lift displacement of phi_1^{-1}
+        inv_end = end.inverse()
         gen_psi = generator_of(psi)
         for i in range(u2.shape[0]):
             tau = float(f.tau(t[second][i]))
@@ -192,8 +186,8 @@ def concat_right(
                 continue
             u_tau = interp_time(gen_psi.times, gen_psi.U, tau)
             h_tau = interp_time(gen_psi.times, gen_psi.H, tau)
-            pulled = PeriodicInterp(torus, u_tau).at(inv_points).reshape(torus.shape)
-            corr = (inv_lift @ h_tau).reshape(torus.shape)
+            pulled = inv_end.compose_field(u_tau)
+            corr = np.tensordot(h_tau, inv_end.disp, axes=(0, 0))
             total = rate * (pulled + corr)
             u2[i] = total - total.mean()
         u_full = np.concatenate([u1, u2[1:]])
@@ -224,12 +218,10 @@ def concat_left(
     stack = np.empty((len(times), torus.dim) + torus.shape)
     for k in range(half + 1):
         stack[k] = phi.disp_at(float(f.lam(times[k])))
-    end_disp = phi.disp[-1]
-    image = torus.points + end_disp.reshape(torus.dim, -1).T
+    end = phi.time_one()
     for k in range(half, len(times)):
-        tau = float(f.tau(times[k]))
-        vals = PeriodicInterp(torus, psi.disp_at(tau)).at(image)
-        stack[k] = end_disp + vals.T.reshape((torus.dim,) + torus.shape)
+        psi_tau = psi.map_at(float(f.tau(times[k])))
+        stack[k] = psi_tau.compose(end, spectral=False).disp
     stack[0] = 0.0
     gen = None
     if with_generator:
@@ -286,9 +278,7 @@ def iterate(phi: Isotopy, power: int, with_generator: bool = False) -> Isotopy:
     stack[0] = 0.0
     base_pts = torus.points
     for j in range(k + 1):
-        interp = PeriodicInterp(torus, base.disp[j])
-        vals = interp.at(anchors)  # (m, M, d)
-        lifted = anchors + vals
+        lifted = GridMap(torus, base.disp[j]).apply(anchors)  # (m, M, d)
         for i in range(m):
             idx = i * k + j
             if idx == 0:

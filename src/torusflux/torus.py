@@ -232,21 +232,16 @@ class PeriodicInterp:
     axes moved last.
     """
 
-    def __init__(self, torus: FlatTorus, samples: np.ndarray, order: int = 3):
+    def __init__(self, torus: FlatTorus, samples: np.ndarray):
         samples = np.asarray(samples, dtype=float)
         if samples.shape[-torus.dim :] != torus.shape:
             raise ValueError("samples do not match the grid")
         self.torus = torus
-        self.order = order
-        lead = samples.shape[: -torus.dim]
-        flat = samples.reshape((-1,) + torus.shape)
-        self._lead = lead
-        if order > 1:
-            self._coeffs = [
-                ndimage.spline_filter(c, order=order, mode="grid-wrap") for c in flat
-            ]
-        else:
-            self._coeffs = list(flat)
+        self._lead = samples.shape[: -torus.dim]
+        self._coeffs = [
+            ndimage.spline_filter(c, order=3, mode="grid-wrap")
+            for c in samples.reshape((-1,) + torus.shape)
+        ]
 
     def at(self, points: np.ndarray) -> np.ndarray:
         """Values at ``points`` of shape (..., d); returns (..., *lead)."""
@@ -258,7 +253,7 @@ class PeriodicInterp:
         coords = np.moveaxis(idx, -1, 0)
         vals = [
             ndimage.map_coordinates(
-                c, coords, order=self.order, mode="grid-wrap", prefilter=False
+                c, coords, order=3, mode="grid-wrap", prefilter=False
             )
             for c in self._coeffs
         ]
@@ -399,15 +394,12 @@ def line_integral(form: OneForm, path: np.ndarray, closed_tol: float = 1e-6) -> 
 
 
 def integrate_form_along_path(
-    torus: FlatTorus,
-    components: np.ndarray,
-    path: np.ndarray,
-    spectral: bool = True,
+    torus: FlatTorus, components: np.ndarray, path: np.ndarray
 ) -> float:
     """Quadrature of an arbitrary sampled 1-form along a lifted path.
 
-    Per-segment Simpson rule (segments treated as straight); with
-    ``spectral`` evaluation this is the independent oracle against which the
+    Per-segment Simpson rule (segments treated as straight) with
+    trigonometric evaluation: the independent oracle against which the
     endpoint formula of :func:`line_integral` is tested.
     """
     components = torus.check_vector(components)
@@ -415,13 +407,10 @@ def integrate_form_along_path(
     mids = 0.5 * (path[1:] + path[:-1])
     segs = path[1:] - path[:-1]
     nodes = np.concatenate([path, mids])
-    if spectral:
-        vals = np.stack(
-            [eval_spectral(torus, components[j], nodes) for j in range(torus.dim)],
-            axis=-1,
-        )
-    else:
-        vals = PeriodicInterp(torus, components).at(nodes)
+    vals = np.stack(
+        [eval_spectral(torus, components[j], nodes) for j in range(torus.dim)],
+        axis=-1,
+    )
     ends = vals[: len(path)]
     mid_vals = vals[len(path) :]
     weighted = (ends[:-1] + 4.0 * mid_vals + ends[1:]) / 6.0

@@ -191,6 +191,22 @@ class TestInverse:
         fwd = generator_of(ham_shear)
         assert np.abs(inv.gen.H + fwd.H).max() < 1e-10
 
+    def test_inverse_builds_one_spline_per_slice(self, ham_shear, monkeypatch):
+        # per slice one displacement and one Jacobian spline for the Newton
+        # solve, plus one generator spline per time sample
+        from torusflux.torus import PeriodicInterp
+
+        builds = []
+        init = PeriodicInterp.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PeriodicInterp, "__init__", counting)
+        inverse(ham_shear)
+        assert len(builds) <= 3 * ham_shear.steps + 1
+
     def test_fold_over_raises(self, torus):
         # displacement with slope < -1 folds the torus over
         disp = np.zeros((2,) + torus.shape)
@@ -235,6 +251,18 @@ class TestComposeAndDistance:
         a = translation_isotopy(torus, 100, (0.1, 0.0))
         b = translation_isotopy(torus, 60, (0.1, 0.0))
         assert c0_distance(a, b) < 1e-9
+
+    def test_compose_field_layouts(self, torus, shear):
+        end = shear.time_one()
+        stacked = np.stack([np.sin(2 * np.pi * torus.grid[1]), torus.grid[0] ** 2])
+        got = end.compose_field(stacked)
+        assert got.shape == stacked.shape
+        for j in range(2):
+            assert np.array_equal(got[j], end.compose_field(stacked[j]))
+        # the shear moves x only, so a function of y is pulled back exactly
+        assert np.abs(got[0] - stacked[0]).max() < 1e-12
+        cubic = end.compose(end, spectral=False)
+        assert np.array_equal(cubic.disp, end.disp + end.compose_field(end.disp))
 
     def test_compose_pointwise_endpoint(self, torus, shear, ham_shear):
         comp = compose_pointwise(shear, ham_shear)
