@@ -236,22 +236,35 @@ class GridMap:
                 initial: np.ndarray | None = None) -> "GridMap":
         """Inverse map by damped Newton iteration.
 
-        Starts from the minimal-lift guess (or a supplied warm start) and
-        backtracks when a full step does not reduce the residual.  Raises
-        :class:`InversionError` when the residual stagnates, the symptom of
-        a fold-over (non-bijective slice).
+        Starts from the minimal-lift guess (or a supplied warm start, unless
+        the map is a translation) and backtracks when a full step does not reduce the residual.  Raises
+        :class:`InversionError` up front when the map folds over (see
+        :meth:`check_unfolded`): Newton then still converges, to one of
+        several preimages, so a small residual proves nothing.  Also raises
+        when the residual stagnates or does not converge.  The spline of
+        the Jacobian is built only when a Newton step is taken.
         """
-        y = self.torus.points
-        x = (y - self._interp.at(y)) if initial is None else initial.copy()
-        jac_interp = PeriodicInterp(
-            self.torus, self.jacobian().reshape((-1,) + self.torus.shape)
-        )
+        grid_jac = self.jacobian()
+        self.check_unfolded(grid_jac)
         d = self.torus.dim
+        y = self.torus.points
+        # the minimal-lift guess inverts a translation (Du = 0) exactly, where
+        # a warm start would cost a Newton step
+        eye = np.eye(d).reshape((d, d) + (1,) * d)
+        if initial is None or float(np.abs(grid_jac - eye).max()) <= tol:
+            x = y - self._interp.at(y)
+        else:
+            x = initial.copy()
+        jac_interp = None
         step = y - x - self._interp.at(x)
         res = float(np.abs(step).max())
         for _ in range(maxiter):
             if res <= tol:
                 break
+            if jac_interp is None:
+                jac_interp = PeriodicInterp(
+                    self.torus, grid_jac.reshape((-1,) + self.torus.shape)
+                )
             jac = jac_interp.at(x).reshape(x.shape[0], d, d)
             try:
                 delta = np.linalg.solve(jac, step[..., None])[..., 0]
@@ -276,6 +289,18 @@ class GridMap:
             )
         disp = (x - y).T.reshape((self.torus.dim,) + self.torus.shape)
         return GridMap(self.torus, disp)
+
+    def check_unfolded(self, jac: np.ndarray | None = None) -> None:
+        """Raise :class:`InversionError` unless det D(phi) > 0 on the grid.
+
+        ``jac`` is the grid Jacobian of :meth:`jacobian` when it is already
+        at hand.  A map with det D(phi) <= 0 somewhere folds the torus over
+        and has no inverse.
+        """
+        jac = self.jacobian() if jac is None else jac
+        worst = float(np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1))).min())
+        if not worst > 0.0:
+            raise InversionError(f"map folds over (min det D(phi) = {worst:.3e})")
 
     def jacobian(self) -> np.ndarray:
         """D(phi) = I + Du, shape ``(d, d) + grid`` (spectral derivatives)."""
@@ -572,9 +597,10 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     """The inverse isotopy ``t -> phi_t^{-1}`` with continuous lifts.
 
     Each slice's Newton inversion is warm-started from the previous slice,
-    so the chain follows the path continuously.  The forward slice's spline
-    serves both the Newton solve and the displacement ``-u(pre)`` at the
-    preimages.
+    so the chain follows the path continuously, and raises
+    :class:`InversionError` when the slice folds over.  The forward slice's
+    spline serves both the Newton solve and the displacement ``-u(pre)`` at
+    the preimages.
     """
     torus = isotopy.torus
     stack = np.empty_like(isotopy.disp)
@@ -588,19 +614,21 @@ def inverse(isotopy: Isotopy) -> Isotopy:
             raise InversionError(f"time slice {k}: {exc}") from exc
         stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
     gen = None
-    if isotopy.gen is not None or isotopy.provenance is not None:
-        gen = _inverse_generator(isotopy)
+    if torus.symplectic and (isotopy.gen is not None or isotopy.provenance is not None):
+        gen = inverse_generator(isotopy)
     return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
 
 
-def _inverse_generator(isotopy: Isotopy) -> GeneratorPair | None:
-    """Exact generator of the inverse path from the forward generator.
+def inverse_generator(isotopy: Isotopy) -> GeneratorPair:
+    """Generator of the inverse path ``t -> phi_t^{-1}`` from the forward one.
 
     The inverse path is generated by ``(-(U_t o phi_t + <H_t, lift_t>), -H_t)``
-    with the function part re-normalized to mean zero.
+    with the function part re-normalized to mean zero.  Only forward maps
+    are evaluated, so no slice is inverted when the forward generator is
+    exact (an attached trace or a provenance field); otherwise
+    :func:`generator_of` falls back to its data route.  Does not check that
+    the slices are invertible.
     """
-    if not isotopy.torus.symplectic:
-        return None
     torus = isotopy.torus
     fwd = generator_of(isotopy)
     U = np.empty((isotopy.steps + 1,) + torus.shape)

@@ -207,12 +207,45 @@ class TestInverse:
         inverse(ham_shear)
         assert len(builds) <= 3 * ham_shear.steps + 1
 
+    def test_translation_slices_need_no_jacobian_spline(self, torus):
+        # the minimal-lift guess inverts a translation exactly, so no slice
+        # takes a Newton step, warm start or not
+        from torusflux.torus import PeriodicInterp
+
+        jacobian_builds = []
+        init = PeriodicInterp.__init__
+
+        def counting(self, torus_, samples):
+            jacobian_builds.append(np.shape(samples)[:1] == (torus_.dim**2,))
+            init(self, torus_, samples)
+
+        iso = translation_isotopy(torus, 100, (0.3, 0.1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PeriodicInterp, "__init__", counting)
+            inv = inverse(iso)
+        assert not any(jacobian_builds)
+        assert np.abs(inv.disp[1:] + iso.disp[1:]).max() < 1e-12
+
     def test_fold_over_raises(self, torus):
         # displacement with slope < -1 folds the torus over
         disp = np.zeros((2,) + torus.shape)
         disp[0] = -1.5 * np.sin(2 * np.pi * torus.grid[0]) / (2 * np.pi) * 7
         with pytest.raises(InversionError):
             GridMap(torus, disp).inverse()
+
+    def test_mild_fold_over_raises(self, torus):
+        # det D(phi) = 1 + 0.6 pi cos(2 pi x) >= -0.88: Newton converges to
+        # a preimage of every grid point (phi o inv is the identity to 1e-6),
+        # but inv o phi is 0.5 off it; only the determinant shows the fold
+        disp = np.zeros((2,) + torus.shape)
+        disp[0] = 0.3 * np.sin(2 * np.pi * torus.grid[0])
+        fold = GridMap(torus, disp)
+        assert fold.det_jacobian().min() < -0.8
+        with pytest.raises(InversionError, match="folds over"):
+            fold.inverse()
+        with pytest.raises(InversionError, match="folds over"):
+            fold.check_unfolded()
+        GridMap(torus, 0.5 * disp).check_unfolded()  # det >= 0.06
 
 
 class TestConservativity:

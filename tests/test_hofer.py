@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from torusflux import (
+    GeneratorPair,
+    InversionError,
+    Isotopy,
     c0_distance,
     compose_pointwise,
     harmonic_isotopy,
@@ -19,13 +22,21 @@ from torusflux.hofer import (
     energy_surrogate,
     fgeo_deformation,
     hodge_split_isotopy,
+    inverse_lengths,
     iteration_growth_check,
     lengths,
     mcduff_deformation,
     norm_comparison_check,
     vector_field_b_norm,
 )
-from torusflux.paths import concat_right
+from torusflux.paths import concat_left, concat_right
+
+
+def _same_traces(a, b):
+    return all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("times", "osc_trace", "harmonic_trace")
+    )
 
 
 class TestLengths:
@@ -245,6 +256,63 @@ class TestSurrogates:
         assert resid < 1e-9
 
 
+class TestInverseLengths:
+    def test_provenance_route(self, ham_shear):
+        assert ham_shear.gen is None and ham_shear.provenance is not None
+        assert _same_traces(inverse_lengths(ham_shear), lengths(inverse(ham_shear)))
+
+    def test_generator_route(self, ham_shear, trans_loop):
+        path = concat_left(trans_loop, ham_shear, with_generator=True)
+        assert path.gen is not None
+        assert _same_traces(inverse_lengths(path), lengths(inverse(path)))
+
+    def test_data_route(self, ham_shear):
+        data = Isotopy(ham_shear.torus, ham_shear.times, ham_shear.disp)
+        assert _same_traces(inverse_lengths(data), lengths(inverse(data)))
+
+    def test_symmetrized_norm_of_a_shear(self, ham_shear):
+        # the inverse of a Hamiltonian shear is the shear of the opposite
+        # amplitude, whose length is the same
+        rep = lengths(ham_shear)
+        inv = inverse_lengths(ham_shear)
+        assert abs(inv.l1_length - rep.l1_length) < 1e-9
+
+
+class TestFoldOverControls:
+    """Paths through a folded map: det D(phi) = 1 + 0.6 pi cos(2 pi x) has
+    minimum -0.88.  Newton still finds a preimage of every grid point, so
+    only the fold-over guard can tell."""
+
+    @pytest.fixture(params=["jump", "ramp"])
+    def folded(self, request, torus):
+        fold = np.zeros((2,) + torus.shape)
+        fold[0] = 0.3 * np.sin(2 * np.pi * torus.grid[0])
+        steps = 60
+        if request.param == "jump":  # every slice after the first is the fold
+            weights = np.r_[0.0, np.ones(steps)]
+        else:  # the fold ramped in; slices fold from weight 0.53 on
+            weights = np.linspace(0.0, 1.0, steps + 1)
+        return Isotopy(torus, np.linspace(0.0, 1.0, steps + 1),
+                       weights[:, None, None, None] * fold)
+
+    def test_inverse_raises(self, folded):
+        with pytest.raises(InversionError, match="folds over"):
+            inverse(folded)
+
+    def test_inverse_lengths_raises_on_the_data_route(self, folded):
+        with pytest.raises(InversionError, match="folds over"):
+            inverse_lengths(folded)
+
+    def test_inverse_lengths_raises_with_a_generator(self, folded):
+        # any attached generator selects the route that inverts nothing
+        k1 = folded.steps + 1
+        gen = GeneratorPair(folded.times, np.zeros((k1,) + folded.torus.shape),
+                            np.zeros((k1, 2)))
+        with_gen = Isotopy(folded.torus, folded.times, folded.disp, gen=gen)
+        with pytest.raises(InversionError, match="folds over"):
+            inverse_lengths(with_gen)
+
+
 class TestNormComparison:
     def test_identity_trivial(self, torus):
         from torusflux.flows import GridMap
@@ -265,6 +333,26 @@ class TestNormComparison:
         assert report.margin_six > 0
         assert report.margin_72_5 is not None and report.margin_72_5 > 0
         assert report.margin_144_5 > 0
+
+    def test_candidates_are_never_inverted(self, ham_shear, trans_loop, monkeypatch):
+        import torusflux.hofer as hofer_mod
+        import torusflux.paths as paths_mod
+
+        inverted = []
+
+        def recording(iso):
+            inverted.append(iso)
+            return inverse(iso)
+
+        monkeypatch.setattr(hofer_mod, "inverse", recording)
+        monkeypatch.setattr(paths_mod, "inverse", recording)
+        fluxed = concat_right(ham_shear, trans_loop, with_generator=True)
+        norm_comparison_check(
+            ham_shear.time_one(), [("direct", ham_shear)], eps=1e-3,
+            fluxed_path=fluxed, matching_loop=trans_loop,
+        )
+        # only the matching loop, whose displacement the corrected path reads
+        assert len(inverted) == 1 and inverted[0] is trans_loop
 
     def test_nonzero_flux_candidate_rejected(self, torus, shear):
         with pytest.raises(ValueError):
@@ -308,7 +396,7 @@ class TestShrinkingSequences:
             iso = hamiltonian_shear(torus, 100, amplitude=1.0 / n)
             sur = energy_surrogate(iso.time_one(), [("direct", iso)])
             # symmetrized Hofer-like norm; zero-flux path: it is the Hofer one
-            hofer = 0.5 * (sur.e0 + lengths(inverse(iso)).l1_length)
+            hofer = 0.5 * (sur.e0 + inverse_lengths(iso).l1_length)
             assert hofer <= 1.0 / (np.pi * n) + 1e-9
             if prev is not None:
                 assert hofer < prev

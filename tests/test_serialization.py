@@ -38,6 +38,41 @@ class TestRoundTrip:
         with pytest.raises(SerializationError):
             load_isotopy(path)
 
+    def test_generator_survives_the_roundtrip(self, torus, ham_shear, trans_loop,
+                                              tmp_path):
+        from torusflux import Isotopy
+        from torusflux.hofer import inverse_lengths, lengths
+        from torusflux.paths import concat_left
+
+        # provenance route (field generator stored) and attached trace
+        for iso in (ham_shear, concat_left(trans_loop, ham_shear, with_generator=True)):
+            path = tmp_path / "iso.npz"
+            save_isotopy(iso, path)
+            back = load_isotopy(path)
+            assert back.gen is not None and back.provenance is None
+            for measure in (lengths, inverse_lengths):
+                a, b = measure(iso), measure(back)
+                assert np.array_equal(a.times, b.times)
+                assert np.array_equal(a.osc_trace, b.osc_trace)
+                assert np.array_equal(a.harmonic_trace, b.harmonic_trace)
+        # a data-only path stores no generator
+        save_isotopy(Isotopy(torus, ham_shear.times, ham_shear.disp), path)
+        assert load_isotopy(path).gen is None
+
+    def test_version_one_still_loads(self, torus, shear, tmp_path):
+        import json
+
+        path = tmp_path / "v1.npz"
+        meta = {"format_version": 1, "dim": 2, "resolution": torus.grid_res,
+                "volume_scale": 1.0, "symplectic": True, "kind": shear.kind}
+        np.savez_compressed(
+            path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            times=shear.times, disp=shear.disp,
+        )
+        back = load_isotopy(path)
+        assert back.gen is None
+        assert c0_distance(back, shear) == 0.0
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not an archive at all")
@@ -69,6 +104,16 @@ class TestResampling:
 
         g = shear_profile(1.0)
         assert np.abs(up.disp[-1][0] - g(up.torus.grid[1])).max() < 1e-8
+
+    def test_cross_resolution_load_resamples_the_generator(self, ham_shear, tmp_path):
+        from torusflux.hofer import lengths
+
+        path = tmp_path / "ham.npz"
+        save_isotopy(ham_shear, path)
+        up = load_isotopy(path, resolution=64)
+        assert up.gen.U.shape == (ham_shear.steps + 1, 64, 64)
+        # U_t = cos(2 pi y) / (2 pi) is band-limited: the length is kept
+        assert abs(lengths(up).l1_length - lengths(ham_shear).l1_length) < 1e-12
 
     def test_downsample_roundtrip_error_small(self, torus, shear):
         down = resample_grid(shear.disp, 2, 16)
