@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import Isotopy, TimeField, constant_field, flow
+from .flows import Isotopy, TimeField, constant_field, flow, is_repeat
 from .torus import FlatTorus
 
 
@@ -24,26 +24,37 @@ def shear_profile(amplitude: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
     return g
 
 
-def x_shear_field(torus: FlatTorus, g: Callable[[np.ndarray], np.ndarray]) -> TimeField:
-    """Divergence-free shear X = (g(y), 0, ...)."""
+def _shear_evaluator(
+    g: Callable[[np.ndarray], np.ndarray], moved: int, along: int
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """Evaluator of the autonomous shear ``X^moved = g(x^along)``, other parts 0.
+
+    The flow never changes ``x^along``, so every RK4 stage of every step
+    hands g the same coordinates: a call whose coordinates repeat the
+    previous call's reuses the previous profile values.
+    """
+    last_arg = last_val = None
 
     def evaluator(t: float, points: np.ndarray) -> np.ndarray:
+        nonlocal last_arg, last_val
+        arg = points[..., along]
+        if not is_repeat(arg, last_arg):
+            last_arg, last_val = arg.copy(), g(arg)
         out = np.zeros_like(points)
-        out[..., 0] = g(points[..., 1])
+        out[..., moved] = last_val
         return out
 
-    return TimeField(torus, evaluator, "conservative")
+    return evaluator
+
+
+def x_shear_field(torus: FlatTorus, g: Callable[[np.ndarray], np.ndarray]) -> TimeField:
+    """Divergence-free shear X = (g(y), 0, ...)."""
+    return TimeField(torus, _shear_evaluator(g, 0, 1), "conservative")
 
 
 def y_shear_field(torus: FlatTorus, g: Callable[[np.ndarray], np.ndarray]) -> TimeField:
     """Divergence-free shear X = (0, g(x), 0, ...)."""
-
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(points)
-        out[..., 1] = g(points[..., 0])
-        return out
-
-    return TimeField(torus, evaluator, "conservative")
+    return TimeField(torus, _shear_evaluator(g, 1, 0), "conservative")
 
 
 def standard_shear(torus: FlatTorus, steps: int, amplitude: float = 1.0) -> Isotopy:
@@ -59,12 +70,10 @@ def translation_isotopy(torus: FlatTorus, steps: int, velocity) -> Isotopy:
 def hamiltonian_shear_field(torus: FlatTorus, amplitude: float = 1.0) -> TimeField:
     """Hamiltonian field of H = amplitude * cos(2 pi y) / (2 pi): X = (-a sin(2 pi y), 0)."""
 
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(points)
-        out[..., 0] = -amplitude * np.sin(2.0 * np.pi * points[..., 1])
-        return out
+    def g(y: np.ndarray) -> np.ndarray:
+        return -amplitude * np.sin(2.0 * np.pi * y)
 
-    return TimeField(torus, evaluator, "hamiltonian")
+    return TimeField(torus, _shear_evaluator(g, 0, 1), "hamiltonian")
 
 
 def hamiltonian_shear(torus: FlatTorus, steps: int, amplitude: float = 1.0) -> Isotopy:

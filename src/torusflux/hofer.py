@@ -328,8 +328,7 @@ def fgeo_deformation(
     if fc.norm() > tol:
         raise ValueError(f"nonzero flux {fc.pairings}; cannot straighten")
     split = hodge_split_isotopy(isotopy)
-    gen = generator_of(isotopy)
-    k1 = len(gen.times)
+    k1 = isotopy.steps + 1
     rho_shift = isotopy.disp.reshape(k1, torus.dim, -1).mean(axis=2)
     theta_shift = -rho_shift  # flow of Y_t at s = 1 cancels the harmonic path
 
@@ -339,7 +338,7 @@ def fgeo_deformation(
     )
     out_stack[0] = 0.0
     out = Isotopy(
-        torus, gen.times.copy(), out_stack, kind="hamiltonian",
+        torus, split.remainder.times.copy(), out_stack, kind="hamiltonian",
         gen=split.remainder.gen,
     )
     # harmonic residual from the data: grid mean of i(velocity)omega

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -29,6 +30,7 @@ from .flows import (
     generator_of,
     interp_time,
     inverse,
+    is_repeat,
 )
 
 _DENSE = 4096
@@ -137,6 +139,26 @@ def _reparam_generator(
     return u_out, h_out
 
 
+def _second_half(
+    stack: np.ndarray, half: int, times: np.ndarray, psi: Isotopy,
+    glue: Callable[[GridMap], GridMap],
+) -> None:
+    """Fill ``stack[half:]`` with ``glue(psi_tau)`` along the second half.
+
+    A slice whose ``psi_tau`` repeats the previous one (a constant path, the
+    flat ends of the cutoff) copies the previous composed slice.
+    """
+    f = default_cutoff()
+    previous = None
+    for k in range(half, len(times)):
+        psi_tau = psi.map_at(float(f.tau(times[k])))
+        if is_repeat(psi_tau.disp, previous):
+            stack[k] = stack[k - 1]
+        else:
+            stack[k] = glue(psi_tau).disp
+            previous = psi_tau.disp
+
+
 def concat_right(
     phi: Isotopy,
     psi: Isotopy,
@@ -163,9 +185,8 @@ def concat_right(
     for k in range(half + 1):
         stack[k] = phi.disp_at(float(f.lam(times[k])))
     end = phi.time_one()
-    for k in range(half, len(times)):
-        psi_tau = psi.map_at(float(f.tau(times[k])))
-        stack[k] = end.compose(psi_tau, spectral=False).disp
+    _second_half(stack, half, times, psi,
+                 lambda psi_tau: end.compose(psi_tau, spectral=False))
     stack[0] = 0.0
     gen = None
     if with_generator:
@@ -219,9 +240,8 @@ def concat_left(
     for k in range(half + 1):
         stack[k] = phi.disp_at(float(f.lam(times[k])))
     end = phi.time_one()
-    for k in range(half, len(times)):
-        psi_tau = psi.map_at(float(f.tau(times[k])))
-        stack[k] = psi_tau.compose(end, spectral=False).disp
+    _second_half(stack, half, times, psi,
+                 lambda psi_tau: psi_tau.compose(end, spectral=False))
     stack[0] = 0.0
     gen = None
     if with_generator:

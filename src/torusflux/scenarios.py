@@ -13,6 +13,7 @@ All randomness flows from one seeded generator per scenario call.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,8 @@ from .flows import (
 from .paths import concat_left, concat_right, make_cutoff, reparametrized
 from .reporting import ReportRow
 from .torus import OneForm, integrate, minimal_geodesic, poincare_pair
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -540,8 +543,11 @@ def scenario_factorization2(bench: Workbench) -> tuple[list[ReportRow], dict]:
         vec[..., 2] = 0.4 * (1 + np.cos(2 * np.pi * p[..., 3])) / 2
         return vec
 
+    # each T^4 displacement stack is released after its check, so at most
+    # one is alive at a time (they set the peak memory of a verify run)
     iso = flow(TimeField(torus4, product_shear, "symplectic"), steps)
     report = flux_mod.factorization2_check(iso, time_samples=21)
+    del iso
     out.add("fact2-01-product-shear", "wedge factorization on the 4-torus",
             report.residual, 1e-4)
 
@@ -552,6 +558,7 @@ def scenario_factorization2(bench: Workbench) -> tuple[list[ReportRow], dict]:
 
     iso2 = flow(TimeField(torus4, translation4, "symplectic"), max(50, steps // 2))
     rep2 = flux_mod.factorization2_check(iso2, time_samples=11)
+    del iso2
     out.add("fact2-02-translation", "wedge factorization of a loop",
             rep2.residual, 1e-9)
 
@@ -559,6 +566,7 @@ def scenario_factorization2(bench: Workbench) -> tuple[list[ReportRow], dict]:
                           amplitude=0.05)
     iso3 = flow(ham.field(), max(50, steps // 2))
     rep3 = flux_mod.factorization2_check(iso3, time_samples=11)
+    del iso3
     out.add("fact2-03-hamiltonian", "vanishing wedge flux of Hamiltonian flows",
             max(rep3.residual, float(np.abs(rep3.lhs).max())), 1e-3)
     return out.rows, {}
@@ -733,16 +741,33 @@ def _hofer_rows(bench: Workbench) -> list[ReportRow]:
 def run_verify(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     """The full invariant suite across the flux, displacement and length
     modules; ~60 rows, all expected to pass at default sizes.  One
-    workbench serves every check."""
+    workbench serves every check.
+
+    A part (a scenario, the displacement rows or the length rows) that
+    raises becomes one failing ``<part>-error`` row, value 1.0, with the
+    exception in its anchor and the traceback in the log; the remaining
+    parts still run.
+    """
     bench = Workbench(config)
     rows: list[ReportRow] = []
     extras: dict = {"tables": {}}
-    for name in ("flux", "defect-survey", "separation", "rigidity",
-                 "iteration-growth", "norm-comparison", "deformation",
-                 "factorization2"):
-        sub_rows, sub_extras = run_scenario(name, config, bench)
+    parts = [(name, lambda name=name: run_scenario(name, config, bench))
+             for name in ("flux", "defect-survey", "separation", "rigidity",
+                          "iteration-growth", "norm-comparison", "deformation",
+                          "factorization2")]
+    parts.append(("displacement", lambda: (_displacement_rows(bench), {})))
+    parts.append(("hofer", lambda: (_hofer_rows(bench), {})))
+    for name, part in parts:
+        started = time.perf_counter()
+        try:
+            sub_rows, sub_extras = part()
+        except Exception as exc:
+            log.exception("verify part %r failed", name)
+            rows.append(ReportRow(
+                f"{name}-error", f"{type(exc).__name__}: {exc}", 1.0, 0.0, 0.0,
+                runtime_ms=(time.perf_counter() - started) * 1e3,
+            ))
+            continue
         rows.extend(sub_rows)
         extras["tables"].update(sub_extras.get("tables", {}))
-    rows.extend(_displacement_rows(bench))
-    rows.extend(_hofer_rows(bench))
     return rows, extras

@@ -8,6 +8,7 @@ pass/fail line (run pytest with -s to see them on success).
 """
 
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -229,6 +230,21 @@ def test_verify_builds_each_canonical_isotopy_once(monkeypatch):
     run_verify(SMALL)
     assert {name for name, _ in builds} == set(names)
     assert set(builds.values()) == {1}, builds
+
+
+def test_factorization2_keeps_one_t4_stack_alive():
+    # three T^4 flows at N = 8, K = 50: each (K+1, 4) + grid stack takes
+    # 6.7 MB; holding all three until the end peaks above three stacks
+    config = ExperimentConfig(resolution=8, steps=50).validate()
+    stack_bytes = (50 + 1) * 4 * 8**4 * 8
+    tracemalloc.start()
+    try:
+        rows, _ = scenarios.run_scenario("factorization2", config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    assert peak < 2 * stack_bytes, peak / stack_bytes
 
 
 def test_base_transfer_row_fails_when_no_triangle_qualifies(monkeypatch):

@@ -183,3 +183,50 @@ class TestSaveLoad:
         path.write_bytes(b"garbage")
         result = runner.invoke(main, ["load", str(path)])
         assert result.exit_code == 2
+
+
+class TestVerifyErrorRows:
+    """A part of verify that raises becomes a FAIL row; the rest still runs."""
+
+    @pytest.fixture()
+    def stub_parts(self, monkeypatch):
+        from torusflux import scenarios
+        from torusflux.reporting import ReportRow
+
+        def passing(name):
+            return lambda bench: ([ReportRow(f"{name}-01", "stub", 0.0, 0.0, 0.0)], {})
+
+        def raising(bench):
+            raise FloatingPointError("stub overflow")
+
+        for name in scenarios.scenario_names():
+            monkeypatch.setitem(scenarios._SCENARIOS, name, passing(name))
+        monkeypatch.setitem(scenarios._SCENARIOS, "rigidity", raising)
+        monkeypatch.setattr(scenarios, "_displacement_rows",
+                            lambda bench: passing("disp")(bench)[0])
+        monkeypatch.setattr(scenarios, "_hofer_rows", raising)
+
+    def test_failing_parts_become_error_rows(self, stub_parts, caplog):
+        from torusflux.scenarios import run_verify
+
+        with caplog.at_level("ERROR", logger="torusflux.scenarios"):
+            rows, _ = run_verify(ExperimentConfig())
+        by_id = {r.check_id: r for r in rows}
+        # every other part ran, also the ones after the failures
+        assert {"flux-01", "factorization2-01", "disp-01"} <= set(by_id)
+        assert "rigidity-01" not in by_id
+        for part in ("rigidity", "hofer"):
+            row = by_id[f"{part}-error"]
+            assert row.value == 1.0 and not row.passed
+            assert row.anchor == "FloatingPointError: stub overflow"
+        assert sum("Traceback" in r.exc_text for r in caplog.records
+                   if r.exc_text) == 2
+
+    def test_verify_writes_reports_and_exits_one(self, runner, stub_parts, tmp_path):
+        result = runner.invoke(main, ["verify", "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        csv_text = (tmp_path / "report.csv").read_text()
+        assert "rigidity-error,FloatingPointError: stub overflow,1,0,0,false" in csv_text
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert not payload["all_pass"]
+        assert len(payload["rows"]) == 10  # 7 scenarios, disp, 2 errors

@@ -315,3 +315,85 @@ class TestHarmonicIsotopy:
         got_y = exact.disp[:, 1].reshape(len(t), -1)[:, 0]
         assert np.abs(got_x - 0.1 * t).max() < 1e-10
         assert np.abs(got_y + 0.4 * np.sin(2 * np.pi * t) / (2 * np.pi)).max() < 1e-10
+
+
+class TestRepeatedSlices:
+    """A slice bitwise equal to the previous one reuses its result."""
+
+    @staticmethod
+    def _per_slice_generator(iso):
+        from torusflux.flows import contract_field_to_coeffs
+        from torusflux.torus import hodge_decompose
+
+        forms = [
+            hodge_decompose(iso.torus,
+                            contract_field_to_coeffs(iso.provenance.sample(t)))
+            for t in iso.times
+        ]
+        return (np.stack([f.potential for f in forms]),
+                np.stack([f.harmonic for f in forms]))
+
+    # the cos(2 pi t) profile of the loop makes every slice differ: a
+    # negative control for the autonomous shear
+    @pytest.mark.parametrize("family,every_slice", [
+        ("hamiltonian_shear", False), ("hamiltonian_loop", True),
+    ])
+    def test_generator_splits_each_distinct_slice_once(
+        self, torus, monkeypatch, family, every_slice
+    ):
+        from torusflux import families, flows
+
+        iso = getattr(families, family)(torus, 100)
+        ref_u, ref_h = self._per_slice_generator(iso)
+        calls = []
+        real = flows.hodge_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "hodge_decompose", counting)
+        gen = generator_of(iso)
+        assert len(calls) == (iso.steps + 1 if every_slice else 1)
+        assert np.array_equal(gen.U, ref_u)
+        assert np.array_equal(gen.H, ref_h)
+
+    @pytest.mark.parametrize("kind", ["x-shear", "y-shear"])
+    def test_shear_draw_evaluates_its_profile_once(self, torus, monkeypatch, kind):
+        from torusflux import families
+
+        profiles, calls = [], []
+        for name in ("x_shear_field", "y_shear_field"):
+            def counted_make(torus_, g, _make=getattr(families, name)):
+                profiles.append(g)
+
+                def counted(y):
+                    calls.append(1)
+                    return g(y)
+
+                return _make(torus_, counted)
+
+            monkeypatch.setattr(families, name, counted_make)
+        iso = families.random_conservative_isotopy(
+            torus, np.random.default_rng(5), 100, kinds=(kind,)
+        )
+        assert len(calls) == 1
+        # the plain per-stage evaluator: g at every RK4 stage of every step
+        moved, along = (0, 1) if kind == "x-shear" else (1, 0)
+
+        def plain(t, points):
+            out = np.zeros_like(points)
+            out[..., moved] = profiles[0](points[..., along])
+            return out
+
+        ref = flow(TimeField(torus, plain, "conservative"), 100)
+        assert np.array_equal(iso.disp, ref.disp)
+
+    def test_signed_zero_is_not_a_repeat(self):
+        from torusflux.flows import is_repeat
+
+        a = np.array([0.0, 1.0])
+        assert is_repeat(a, a.copy())
+        assert not is_repeat(a, None)
+        assert not is_repeat(np.array([-0.0, 1.0]), a)
+        assert not is_repeat(np.array([np.nan]), np.array([np.nan]))

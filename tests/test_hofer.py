@@ -178,13 +178,26 @@ class TestFgeo:
         assert report.endpoint_gap < 1e-9
         assert c0_distance(out, ham_shear) < 1e-9
 
-    def test_zero_mean_wiggle(self, torus, ham_shear):
+    def test_zero_mean_wiggle(self, torus, ham_shear, monkeypatch):
+        from torusflux import hofer
+
         def coeffs(t):
             return np.array([0.3 * np.cos(2 * np.pi * t), 0.0])
 
         harm = harmonic_isotopy(torus, coeffs, 100)
         comp = compose_pointwise(harm, ham_shear)
+        # comp has no trace and no field, so its generator takes the data
+        # route (one Newton inversion per slice): it is computed once
+        routes = []
+        real = hofer.generator_of
+
+        def counting(iso, *args, **kwargs):
+            routes.append(iso is comp)
+            return real(iso, *args, **kwargs)
+
+        monkeypatch.setattr(hofer, "generator_of", counting)
         out, report = fgeo_deformation(comp)
+        assert routes.count(True) == 1
         assert report.harmonic_residual < 1e-6
         assert report.endpoint_gap < 1e-6
         assert flux_class(out, check=False).norm() < 1e-9

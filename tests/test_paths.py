@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusflux import c0_distance, generator_of
+from torusflux import GridMap, c0_distance, generator_of, identity_isotopy
 from torusflux.families import (
     shear_profile,
     translation_isotopy,
@@ -13,6 +13,7 @@ from torusflux.hofer import lengths
 from torusflux.paths import (
     concat_left,
     concat_right,
+    default_cutoff,
     iterate,
     make_cutoff,
     reparametrized,
@@ -198,3 +199,53 @@ class TestLengthLaws:
         for warp, deriv in warps:
             rep = reparametrized(ham_shear, warp, steps=400, warp_deriv=deriv)
             assert abs(lengths(rep).l1_length - base) < 1e-8
+
+
+class TestRepeatedSlices:
+    """The second half copies the previous slice when psi_tau repeats."""
+
+    @staticmethod
+    def _per_slice(glue_left, psi, phi, steps):
+        f = default_cutoff()
+        times = np.linspace(0.0, 1.0, steps + 1)
+        half = steps // 2
+        end = phi.time_one()
+        stack = np.empty((steps + 1, 2) + phi.torus.shape)
+        for k in range(half + 1):
+            stack[k] = phi.disp_at(float(f.lam(times[k])))
+        for k in range(half, steps + 1):
+            psi_tau = psi.map_at(float(f.tau(times[k])))
+            glued = (psi_tau.compose(end, spectral=False) if glue_left
+                     else end.compose(psi_tau, spectral=False))
+            stack[k] = glued.disp
+        stack[0] = 0.0
+        return stack
+
+    def _counting_compose(self, monkeypatch):
+        calls = []
+        real = GridMap.compose
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridMap, "compose", counting)
+        return calls
+
+    def test_identity_loop_composes_once(self, torus, ham_shear, monkeypatch):
+        triv = identity_isotopy(torus, 50)
+        ref = self._per_slice(True, triv, ham_shear, 1600)
+        calls = self._counting_compose(monkeypatch)
+        out = concat_left(triv, ham_shear, steps=1600)
+        assert len(calls) <= 2
+        assert np.array_equal(out.disp, ref)
+
+    def test_flat_cutoff_ends_are_not_recomposed(
+        self, torus, ham_shear, trans_loop, monkeypatch
+    ):
+        ref = self._per_slice(False, trans_loop, ham_shear, 400)
+        calls = self._counting_compose(monkeypatch)
+        out = concat_right(ham_shear, trans_loop, steps=400)
+        # tau is flat (0 or 1) on 7 slices at each end of the second half
+        assert len(calls) == 201 - 12
+        assert np.array_equal(out.disp, ref)
