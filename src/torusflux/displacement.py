@@ -49,7 +49,7 @@ class DisplacementField:
     form: OneForm
 
     def at(self, points) -> np.ndarray:
-        return eval_spectral(self.torus, self.samples, np.atleast_2d(points))
+        return eval_spectral(self.torus, self.samples, points)
 
     def mean(self) -> float:
         return integrate(self.torus, self.samples)

@@ -228,11 +228,8 @@ class GridMap:
         from .torus import eval_spectral
 
         if spectral:
-            image = other.image_points()
-            vals = np.stack(
-                [eval_spectral(self.torus, self.disp[j], image)
-                 for j in range(self.torus.dim)]
-            ).reshape((self.torus.dim,) + self.torus.shape)
+            vals = eval_spectral(self.torus, self.disp, other.image_points())
+            vals = vals.T.reshape((self.torus.dim,) + self.torus.shape)
         else:
             vals = other.compose_field(self._interp)
         return GridMap(self.torus, other.disp + vals)

@@ -394,7 +394,6 @@ def iteration_growth_check(isotopy: Isotopy, max_power: int = 10) -> GrowthRepor
         raise ValueError("iteration growth requires a nonzero flux class")
     torus = isotopy.torus
     k0 = float(np.abs(fc.pairings).max()) / torus.volume_scale
-    gen = generator_of(isotopy)
     base = lengths(isotopy)
     psi = isotopy.time_one()
     rows = []

@@ -261,24 +261,58 @@ class PeriodicInterp:
         return out[0] if squeeze else out
 
 
+# complex entries allowed in the widest intermediate of eval_spectral, the
+# (points, c * N^(d-1)) product of the first axis (2^21 entries = 32 MB);
+# larger point sets are evaluated in chunks
+SPECTRAL_BUDGET = 1 << 21
+
+
+def _fourier_basis(x: np.ndarray, n: int) -> np.ndarray:
+    """``exp(2 pi i x m)`` for the FFT modes m of n samples, shape (P, n).
+
+    The modes -n/2..-1 are the conjugates of n/2..1: with an odd sine the
+    conjugate is bit-identical to the direct exponential, at half the cost.
+    """
+    pos = np.exp(2j * np.pi * np.outer(x, np.arange(n // 2 + 1)))
+    return np.concatenate([pos[:, : n // 2], pos[:, n // 2 : 0 : -1].conj()], axis=1)
+
+
 def eval_spectral(torus: FlatTorus, samples: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trigonometric (exact for band-limited data) evaluation at points.
 
-    Slower than :class:`PeriodicInterp` but free of spline error; used by
-    oracles and high-accuracy line integrals.
+    ``samples`` is a scalar field or a stack ``(lead,) + grid``; ``points``
+    is (P, d) (one point may be given as (d,)).  Returns ``(P,) + lead``,
+    the layout of :meth:`PeriodicInterp.at`.  One FFT covers every
+    component and one exponential basis per axis serves them all: axis 0 is
+    contracted by a single complex matrix product ``(P, N) @ (N, c N^(d-1))``
+    (BLAS), the remaining axes one at a time against their bases.  Point
+    sets whose ``P * c * N^(d-1)`` exceeds :data:`SPECTRAL_BUDGET` complex
+    entries are evaluated in chunks.  Slower than :class:`PeriodicInterp`
+    but free of spline error; used by oracles, spectral composition and
+    high-accuracy line integrals.
     """
-    f = torus.check_scalar(samples)
+    samples = np.asarray(samples, dtype=float)
+    d, n = torus.dim, torus.grid_res
+    lead = samples.shape[: samples.ndim - d]
+    if samples.shape[samples.ndim - d :] != torus.shape:
+        raise ValueError(f"samples of shape {samples.shape} do not match the grid")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    fhat = np.fft.fftn(f) / f.size
-    acc: np.ndarray = fhat
-    modes = np.fft.fftfreq(torus.grid_res, d=1.0 / torus.grid_res)
-    for axis in range(torus.dim):
-        basis = np.exp(2j * np.pi * np.outer(points[:, axis], modes))
-        if axis == 0:
-            acc = np.einsum("pa,a...->p...", basis, acc)
-        else:
-            acc = np.einsum("pa,pa...->p...", basis, acc)
-    return acc.real
+    if points.ndim != 2 or points.shape[1] != d:
+        raise ValueError(f"points must have shape (P, {d}), got {points.shape}")
+    fields = samples.reshape((-1,) + torus.shape)
+    fhat = np.fft.fftn(fields, axes=range(1, d + 1)) / n**d
+    # rows: the modes of axis 0; columns: (component, modes of axes 1..d-1)
+    coeffs = np.moveaxis(fhat, 1, 0).reshape(n, -1)
+    out = np.empty((len(points), len(fields)))
+    chunk = max(1, SPECTRAL_BUDGET // coeffs.shape[1])
+    for start in range(0, len(points), chunk):
+        pts = points[start : start + chunk]
+        acc = _fourier_basis(pts[:, 0], n) @ coeffs
+        for axis in range(d - 1, 0, -1):
+            basis = _fourier_basis(pts[:, axis], n)
+            acc = (acc.reshape(len(pts), -1, n) * basis[:, None, :]).sum(axis=-1)
+        out[start : start + chunk] = acc.real
+    return out.reshape((len(points),) + lead)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +441,7 @@ def integrate_form_along_path(
     mids = 0.5 * (path[1:] + path[:-1])
     segs = path[1:] - path[:-1]
     nodes = np.concatenate([path, mids])
-    vals = np.stack(
-        [eval_spectral(torus, components[j], nodes) for j in range(torus.dim)],
-        axis=-1,
-    )
+    vals = eval_spectral(torus, components, nodes)  # (nodes, d)
     ends = vals[: len(path)]
     mid_vals = vals[len(path) :]
     weighted = (ends[:-1] + 4.0 * mid_vals + ends[1:]) / 6.0

@@ -297,6 +297,26 @@ class TestComposeAndDistance:
         cubic = end.compose(end, spectral=False)
         assert np.array_equal(cubic.disp, end.disp + end.compose_field(end.disp))
 
+    def test_spectral_paths_evaluate_all_components_in_one_call(
+        self, torus, shear, ham_shear, monkeypatch
+    ):
+        from torusflux import torus as torus_mod
+
+        calls = []
+        evaluate = torus_mod.eval_spectral
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[1]))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(torus_mod, "eval_spectral", counting)
+        shear.time_one().compose(ham_shear.time_one(), spectral=True)
+        assert calls == [(2,) + torus.shape]
+        calls.clear()
+        path = np.linspace([0.1, 0.2], [0.7, 1.4], 9)
+        torus_mod.integrate_form_along_path(torus, shear.disp[-1], path)
+        assert calls == [(2,) + torus.shape]
+
     def test_compose_pointwise_endpoint(self, torus, shear, ham_shear):
         comp = compose_pointwise(shear, ham_shear)
         expected = shear.time_one().compose(ham_shear.time_one())

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 from torusflux.reporting import ReportRow, write_json
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_reports.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPT = SCRIPTS / "compare_reports.py"
 
 
 def _run(old, new):
@@ -60,3 +62,58 @@ class TestCompareReports:
         assert result.returncode == 1
         assert "a-01 bound: 0.0 -> -0.0" in result.stdout
         assert "a-01 tolerance: 1e-09 -> 2e-09" in result.stdout
+
+
+# stands in for perfbench/run.py: prints the run's closing two JSON lines,
+# with wall_s = base + seed + a count of earlier runs in this checkout
+FAKE_RUN = """
+import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seen = Path(__file__).with_name("seen")
+count = int(seen.read_text()) if seen.exists() else 0
+seen.write_text(str(count + 1))
+wall = BASE + int(args["--seed"]) + count
+if args["--trace"] == "1":
+    metrics = {"torus.eval_spectral.calls": {"value": BASE, "unit": "count"}}
+else:
+    metrics = {"wall_s": {"value": wall, "unit": "s"},
+               "pass_frac": {"value": 1.0, "unit": "fraction"}}
+print("workload", args["--workload"])
+print(json.dumps({"call_wall_s": [wall], "environment": {"nproc": 2, "numpy": "x"}}))
+print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": metrics}))
+"""
+
+
+class TestBench:
+    def _checkout(self, tmp_path, name, base):
+        run = tmp_path / name / "perfbench" / "run.py"
+        run.parent.mkdir(parents=True)
+        run.write_text(FAKE_RUN.replace("BASE", str(base)))
+        return run.parents[1]
+
+    def test_writes_medians_layers_and_machine(self, tmp_path):
+        parent = self._checkout(tmp_path, "parent", 10)
+        change = self._checkout(tmp_path, "change", 20)
+        out = tmp_path / "BENCH_7.json"
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "bench.py"), "--pr", "7",
+             "--parent", str(parent), "--change", str(change),
+             "--workloads", "normcmp", "--seeds", "0", "1", "--repeats", "3",
+             "--out", str(out)],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        bench = json.loads(out.read_text())
+        assert bench["pr"] == 7 and bench["repeats"] == 3
+        assert bench["machine"]["nproc"] == 2 and bench["machine"]["numpy"] == "x"
+        assert set(bench["results"]) == {"parent", "change"}
+        for label, base in (("parent", 10), ("change", 20)):
+            seeds = bench["results"][label]["normcmp"]
+            # seed 0: runs 0..2 at trace 0, run 3 at trace 1; seed 1: runs 4..6
+            assert [r["metrics"]["wall_s"] for r in seeds["seed0"]["runs"]] == [
+                base, base + 1, base + 2]
+            assert seeds["seed0"]["end_to_end"] == {"wall_s": base + 1, "pass_frac": 1.0}
+            assert seeds["seed1"]["end_to_end"]["wall_s"] == base + 1 + 5
+            assert seeds["seed1"]["layers"] == {"torus.eval_spectral.calls": base}
+            assert seeds["seed1"]["layers_correct"] is True
+        assert "normcmp seed 1: wall_s parent 16.00, change 26.00" in result.stdout

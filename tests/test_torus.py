@@ -18,6 +18,7 @@ from torusflux import (
     torus_displacement,
     torus_distance,
 )
+from torusflux import torus as torus_mod
 from torusflux.torus import grad
 
 
@@ -266,3 +267,58 @@ class TestSpectralEval:
         f = np.sin(2 * np.pi * torus.grid[0]) * np.cos(2 * np.pi * torus.grid[1])
         expected = np.sin(2 * np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1])
         assert np.abs(eval_spectral(torus, f, pts) - expected).max() < 1e-12
+
+    # the per-axis einsum formula the stacked kernel replaced, one component
+    # at a time: the oracle for the tests below
+    @staticmethod
+    def _einsum_oracle(torus, f, points):
+        fhat = np.fft.fftn(f) / f.size
+        modes = np.fft.fftfreq(torus.grid_res, d=1.0 / torus.grid_res)
+        acc = fhat
+        for axis in range(torus.dim):
+            basis = np.exp(2j * np.pi * np.outer(points[:, axis], modes))
+            spec = "pa,a...->p..." if axis == 0 else "pa,pa...->p..."
+            acc = np.einsum(spec, basis, acc)
+        return acc.real
+
+    @pytest.mark.parametrize("dim, n, count", [(2, 64, 1000), (3, 10, 300)])
+    def test_stacked_matches_components_and_einsum_oracle(self, rng, dim, n, count):
+        torus = FlatTorus(dim, n)
+        samples = rng.standard_normal((2, dim) + torus.shape)
+        pts = rng.uniform(-1.5, 2.5, size=(count, dim))
+        vals = eval_spectral(torus, samples, pts)
+        assert vals.shape == (count, 2, dim)
+        for i in range(2):
+            for j in range(dim):
+                single = eval_spectral(torus, samples[i, j], pts)
+                assert single.shape == (count,)
+                assert np.abs(vals[:, i, j] - single).max() < 1e-15
+                oracle = self._einsum_oracle(torus, samples[i, j], pts)
+                assert np.abs(single - oracle).max() < 1e-13
+
+    def test_band_limited_reproduced_off_grid_on_t3(self, rng):
+        torus = FlatTorus(3, 12)
+        x, y, z = torus.grid
+
+        def poly(x, y, z):
+            return (np.cos(2 * np.pi * (2 * x - y)) + 0.5 * np.sin(2 * np.pi * (x + 3 * z))
+                    - 0.25 * np.cos(2 * np.pi * (5 * y)) * np.sin(2 * np.pi * 4 * z))
+
+        pts = rng.uniform(-1.0, 2.0, size=(200, 3))
+        got = eval_spectral(torus, poly(x, y, z), pts)
+        assert np.abs(got - poly(*pts.T)).max() < 1e-12
+
+    def test_chunked_equals_unchunked(self, torus, rng, monkeypatch):
+        samples = rng.standard_normal((2,) + torus.shape)
+        pts = rng.uniform(0.0, 1.0, size=(777, 2))
+        whole = eval_spectral(torus, samples, pts)
+        # 2 components x 32 columns per point: chunks of 3 points
+        monkeypatch.setattr(torus_mod, "SPECTRAL_BUDGET", 200)
+        chunked = eval_spectral(torus, samples, pts)
+        assert np.abs(chunked - whole).max() < 1e-15
+
+    def test_shape_errors(self, torus):
+        with pytest.raises(ValueError):
+            eval_spectral(torus, np.zeros((3, 8)), torus.points[:2])
+        with pytest.raises(ValueError):
+            eval_spectral(torus, np.zeros(torus.shape), np.zeros((2, 3)))
