@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Run the benchmark on two checkouts and write BENCH_<pr>.json.
+"""Run the benchmark on the parent checkout and this one; write BENCH_<pr>.json.
 
-    python scripts/bench.py --pr N --parent PARENT_DIR [--change DIR]
-        [--workloads normcmp verify] [--seeds 0 1] [--seconds 30]
-        [--repeats 1] [--out BENCH_N.json]
+    python scripts/bench.py --pr N --parent PARENT_DIR
 
-For every workload and seed, each checkout's own ``perfbench/run.py`` runs
-unchanged: ``--trace 0`` REPEATS times (the end-to-end medians; the file
-keeps every run and the median over runs) and ``--trace 1`` once (the
-per-layer totals).  Parent and change runs alternate, so slow drift of the
-machine hits both.  ``--change`` defaults to this checkout; without
-``--parent`` only the change is measured.  The file also records the
-machine, ``nproc`` and the library versions that ``run.py`` reports.
+For every workload that ``BENCHMARK.json`` names and seeds 0 and 1, each
+checkout's own ``perfbench/run.py`` runs unchanged for the benchmark's
+``run_seconds``: ``--trace 0`` in REPEATS pairs (the end-to-end medians;
+the file keeps every run and the median over runs), then one ``--trace 1``
+pair (the per-layer totals).  The side that runs first alternates from pair
+to pair (the parent on even pairs), so neither slow drift of the machine
+nor running second favours one side.  The file also records the machine,
+``nproc`` and the library versions that ``run.py`` reports.
 """
 
 from __future__ import annotations
@@ -25,6 +24,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+REPEATS = 10
+SEEDS = (0, 1)
 
 
 def run_benchmark(root: Path, workload: str, seed: int, seconds: int,
@@ -45,17 +46,18 @@ def _values(result: dict) -> dict[str, float]:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def measure(roots: dict[str, Path], workloads: list[str], seeds: list[int],
-            seconds: int, repeats: int) -> tuple[dict, dict]:
+def measure(roots: dict[str, Path], workloads: list[str],
+            seconds: int) -> tuple[dict, dict]:
     """``(results, environment)`` over every label, workload and seed."""
     results: dict = {label: {} for label in roots}
     environment: dict = {}
     for workload in workloads:
-        for seed in seeds:
+        for seed in SEEDS:
             runs: dict = {label: [] for label in roots}
             layers: dict = {}
-            for trace in [0] * repeats + [1]:
-                for label, root in roots.items():
+            for pair, trace in enumerate([0] * REPEATS + [1]):
+                order = list(roots.items())
+                for label, root in order[::-1] if pair % 2 else order:
                     info, result = run_benchmark(root, workload, seed, seconds, trace)
                     environment = environment or info["environment"]
                     entry = {"correct": result["correct"],
@@ -84,37 +86,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True,
                         help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--parent", type=Path, default=None,
+    parser.add_argument("--parent", type=Path, required=True,
                         help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=ROOT,
-                        help="checkout of the change (default: this one)")
-    parser.add_argument("--workloads", nargs="+", default=["normcmp", "verify"])
-    parser.add_argument("--seeds", nargs="+", type=int, default=[0, 1])
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--repeats", type=int, default=1,
-                        help="--trace 0 runs per checkout, workload and seed")
-    parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    roots = {"change": args.change.resolve()}
-    if args.parent is not None:
-        roots = {"parent": args.parent.resolve(), **roots}
-    results, environment = measure(roots, args.workloads, args.seeds,
-                                   args.seconds, args.repeats)
-    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    workloads = [workload["name"] for workload in spec["workloads"]]
+    roots = {"parent": args.parent.resolve(), "change": ROOT}
+    results, environment = measure(roots, workloads, seconds)
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
         "pr": args.pr,
         "command": (f"perfbench/run.py --workload W --seed S "
-                    f"--seconds {args.seconds} --trace {{0,1}}"),
-        "repeats": args.repeats,
+                    f"--seconds {seconds} --trace {{0,1}}"),
+        "repeats": REPEATS,
         "machine": {"platform": platform.platform(),
                     "machine": platform.machine(), **environment},
         "results": results,
     }, indent=1) + "\n")
     print(f"wrote {out}")
-    for workload in args.workloads:
-        for seed in args.seeds:
+    for workload in workloads:
+        for seed in SEEDS:
             walls = {label: results[label][workload][f"seed{seed}"]["end_to_end"]["wall_s"]
                      for label in roots}
             print(f"  {workload} seed {seed}: wall_s "

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -65,11 +66,15 @@ class TestCompareReports:
 
 
 # stands in for perfbench/run.py: prints the run's closing two JSON lines,
-# with wall_s = base + seed + a count of earlier runs in this checkout
+# with wall_s = base + seed + a count of earlier runs in this checkout, and
+# appends "<checkout> <seconds>" to a log shared by both checkouts
 FAKE_RUN = """
 import json, sys
 from pathlib import Path
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+here = Path(__file__).resolve().parents[1]
+with open(here.parent / "order", "a") as log:
+    log.write(f"{here.name} {args['--seconds']}\\n")
 seen = Path(__file__).with_name("seen")
 count = int(seen.read_text()) if seen.exists() else 0
 seen.write_text(str(count + 1))
@@ -86,34 +91,59 @@ print(json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": metri
 
 
 class TestBench:
-    def _checkout(self, tmp_path, name, base):
+    @staticmethod
+    def _checkout(tmp_path, name, base):
         run = tmp_path / name / "perfbench" / "run.py"
         run.parent.mkdir(parents=True)
         run.write_text(FAKE_RUN.replace("BASE", str(base)))
         return run.parents[1]
 
-    def test_writes_medians_layers_and_machine(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def bench(self, tmp_path_factory):
+        """A copy of bench.py run in a fake change checkout against a fake
+        parent; bench.py takes the run length and workloads from the
+        BENCHMARK.json of the checkout it lives in."""
+        tmp_path = tmp_path_factory.mktemp("bench")
         parent = self._checkout(tmp_path, "parent", 10)
         change = self._checkout(tmp_path, "change", 20)
-        out = tmp_path / "BENCH_7.json"
+        (change / "scripts").mkdir()
+        shutil.copy(SCRIPTS / "bench.py", change / "scripts" / "bench.py")
+        (change / "BENCHMARK.json").write_text(json.dumps(
+            {"run_seconds": 7, "workloads": [{"name": "normcmp", "why": ""}]}))
         result = subprocess.run(
-            [sys.executable, str(SCRIPTS / "bench.py"), "--pr", "7",
-             "--parent", str(parent), "--change", str(change),
-             "--workloads", "normcmp", "--seeds", "0", "1", "--repeats", "3",
-             "--out", str(out)],
+            [sys.executable, str(change / "scripts" / "bench.py"), "--pr", "7",
+             "--parent", str(parent)],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        bench = json.loads(out.read_text())
-        assert bench["pr"] == 7 and bench["repeats"] == 3
+        order = (tmp_path / "order").read_text().split()
+        return result, json.loads((change / "BENCH_7.json").read_text()), order
+
+    def test_writes_medians_layers_and_machine(self, bench):
+        result, bench, _ = bench
+        assert bench["pr"] == 7 and bench["repeats"] == 10
+        assert "--seconds 7 " in bench["command"]
         assert bench["machine"]["nproc"] == 2 and bench["machine"]["numpy"] == "x"
         assert set(bench["results"]) == {"parent", "change"}
         for label, base in (("parent", 10), ("change", 20)):
-            seeds = bench["results"][label]["normcmp"]
-            # seed 0: runs 0..2 at trace 0, run 3 at trace 1; seed 1: runs 4..6
+            seeds = bench["results"][label]
+            assert list(seeds) == ["normcmp"]
+            seeds = seeds["normcmp"]
+            # seed 0: runs 0..9 at trace 0, run 10 at trace 1; seed 1: runs 11..20
             assert [r["metrics"]["wall_s"] for r in seeds["seed0"]["runs"]] == [
-                base, base + 1, base + 2]
-            assert seeds["seed0"]["end_to_end"] == {"wall_s": base + 1, "pass_frac": 1.0}
-            assert seeds["seed1"]["end_to_end"]["wall_s"] == base + 1 + 5
+                base + k for k in range(10)]
+            assert seeds["seed0"]["end_to_end"] == {"wall_s": base + 4.5, "pass_frac": 1.0}
+            assert seeds["seed1"]["end_to_end"]["wall_s"] == base + 1 + 15.5
             assert seeds["seed1"]["layers"] == {"torus.eval_spectral.calls": base}
             assert seeds["seed1"]["layers_correct"] is True
-        assert "normcmp seed 1: wall_s parent 16.00, change 26.00" in result.stdout
+        assert "normcmp seed 1: wall_s parent 26.50, change 36.50" in result.stdout
+
+    def test_sides_alternate_in_running_first(self, bench):
+        _, _, log = bench
+        sides, seconds = log[0::2], log[1::2]
+        assert set(seconds) == {"7"}
+        # per seed: 10 trace-0 pairs and one trace-1 pair, each run by both sides
+        pairs = list(zip(sides[0::2], sides[1::2]))
+        assert len(pairs) == 2 * 11
+        assert all(set(pair) == {"parent", "change"} for pair in pairs)
+        firsts = [first for first, _ in pairs]
+        assert firsts == (["parent", "change"] * 5 + ["parent"]) * 2
