@@ -29,6 +29,8 @@ import configparser
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .flows import flow_tolerance
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -70,7 +72,7 @@ class ExperimentConfig:
     def flow_tol(self, scale: float = 1.0) -> float:
         if self.tolerance is not None:
             return self.tolerance
-        return max(1e-8, scale * float(self.resolution) ** -4)
+        return flow_tolerance(self.resolution, scale)
 
 
 _SECTION_KEYS = {

@@ -189,7 +189,7 @@ def energy_via_isotopy(isotopy: Isotopy, coeffs, p) -> EnergyValue:
         raise ValueError("energy requires a nonzero harmonic form")
     torus = isotopy.torus
     e = energy(isotopy.time_one(), coeffs, p)
-    fc = flux_class(isotopy, check=False)
+    fc = flux_class(isotopy)
     pairing = poincare_pair(coeffs, fc) / norm
     orbit = orbit_of(isotopy, np.asarray(p, dtype=float))
     orbit_integral = float(coeffs @ orbit.displacement)
@@ -348,7 +348,7 @@ def separation_check(
     phi_iso: Isotopy, flux_tol: float = 1e-9, samples: int = 64
 ) -> SeparationReport:
     torus = phi_iso.torus
-    fc = flux_class(phi_iso, check=False)
+    fc = flux_class(phi_iso)
     if fc.norm() <= flux_tol:
         raise ValueError("separation check requires a nonzero flux class")
     ratio = float(np.abs(fc.pairings).max())  # coordinate basis, |dx_i| = 1

@@ -126,31 +126,6 @@ class TimeField:
                 raise ValueError("field tagged harmonic is not spatially constant")
 
 
-def hamiltonian_field(
-    torus: FlatTorus, h_of_t: Callable[[float], np.ndarray], kind: str = "hamiltonian"
-) -> TimeField:
-    """Field with ``i(X)omega = dH_t`` from grid samples of H_t.
-
-    The gradient is spectral; off-grid evaluation is periodic cubic.
-    """
-    if not torus.symplectic:
-        raise ValueError("hamiltonian_field requires a symplectic torus")
-    cache: dict[float, PeriodicInterp] = {}
-
-    def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        key = round(float(t), 12)
-        interp = cache.get(key)
-        if interp is None:
-            x_samples = rotate_coeffs_to_field(grad(torus, h_of_t(t)))
-            interp = PeriodicInterp(torus, x_samples)
-            if len(cache) > 8:
-                cache.clear()
-            cache[key] = interp
-        return interp.at(points)
-
-    return TimeField(torus, evaluator, kind)
-
-
 def constant_field(torus: FlatTorus, velocity) -> TimeField:
     """Constant translation field."""
     vec = np.asarray(velocity, dtype=float)
@@ -523,19 +498,14 @@ def integrate_trajectories(
 # ---------------------------------------------------------------------------
 
 
-def velocity(isotopy: Isotopy, t: float, from_data: bool = True) -> np.ndarray:
+def velocity(isotopy: Isotopy, t: float) -> np.ndarray:
     """Velocity field on the grid at time t, shape ``(d,) + grid``.
 
-    The samples live at grid positions y (not at start points): with
-    ``from_data`` the lifted displacement is differenced in time and composed
-    with the inverse map; otherwise the provenance field is sampled.
+    The samples live at grid positions y (not at start points): the lifted
+    displacement is differenced in time and composed with the inverse map.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"time {t} outside [0, 1]")
-    if not from_data:
-        if isotopy.provenance is None:
-            raise ValueError("no provenance field attached")
-        return isotopy.provenance.sample(t)
     k = int(round(t * isotopy.steps))
     if abs(t - isotopy.times[k]) > 1e-12:
         raise ValueError("data velocities are available at grid times only")
@@ -637,6 +607,19 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
 
 
+def pullback_potential(
+    g: GridMap, u: np.ndarray, h: np.ndarray, rate: float = 1.0
+) -> np.ndarray:
+    """Mean-zero function part of ``rate * g^*(dU + <H, dx>)``.
+
+    Pulling back through g gives ``d(U o g + <H, lift(g)>) + <H, dx>``: the
+    harmonic part H is unchanged and the function part picks up the
+    correction ``<H, g.disp>`` from pulling the harmonic form back.
+    """
+    total = rate * (g.compose_field(u) + np.tensordot(h, g.disp, axes=(0, 0)))
+    return total - total.mean()
+
+
 def inverse_generator(isotopy: Isotopy) -> GeneratorPair:
     """Generator of the inverse path ``t -> phi_t^{-1}`` from the forward one.
 
@@ -651,9 +634,7 @@ def inverse_generator(isotopy: Isotopy) -> GeneratorPair:
     fwd = generator_of(isotopy)
     U = np.empty((isotopy.steps + 1,) + torus.shape)
     for k, disp in enumerate(isotopy.disp):
-        u_vals = GridMap(torus, disp).compose_field(fwd.U[k])
-        total = -(u_vals + np.tensordot(fwd.H[k], disp, axes=(0, 0)))
-        U[k] = total - total.mean()
+        U[k] = pullback_potential(GridMap(torus, disp), fwd.U[k], fwd.H[k], -1.0)
     return GeneratorPair(isotopy.times.copy(), U, -fwd.H)
 
 

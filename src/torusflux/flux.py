@@ -17,7 +17,6 @@ the net integer lift displacement of a closed orbit is a complete invariant.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .flows import (
     contract_field_to_coeffs,
     flow_tolerance,
     integrate_trajectories,
-    verify_conservative,
 )
 from .torus import (
     FlatTorus,
@@ -127,25 +125,16 @@ def flux_pde_residual(form: OneForm, isotopy: Isotopy, t: float) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def flux_class(isotopy: Isotopy, check: bool = True, tol: float | None = None) -> FluxClass:
+def flux_class(isotopy: Isotopy) -> FluxClass:
     """Flux class of a conservative isotopy: pairings with the [dx_i] basis.
 
     Entry i integrates the time-one flux function of dx_i, i.e. the grid
-    mean of the lifted displacement.  A conservativity residual above
-    tolerance attaches a warning instead of failing.
+    mean of the lifted displacement.  Conservativity is not checked here;
+    :func:`~torusflux.flows.verify_conservative` measures it.
     """
     torus = isotopy.torus
     pairings = isotopy.disp[-1].reshape(torus.dim, -1).mean(axis=1) * torus.volume_scale
-    residual = None
-    if check:
-        report = verify_conservative(isotopy, tol=tol, nt=3)
-        residual = max(report.max_det_residual, report.max_div_residual)
-        if not report.ok:
-            warnings.warn(
-                f"flux_class of a non-conservative isotopy (residual {residual:.2e})",
-                stacklevel=2,
-            )
-    return FluxClass(pairings, conservative_residual=residual)
+    return FluxClass(pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +257,7 @@ def factorization2_check(isotopy: Isotopy, time_samples: int | None = None) -> F
     torus = isotopy.torus
     if torus.dim != 4 or not torus.symplectic:
         raise ValueError("wedge factorization check requires the symplectic T^4")
-    lhs = flux_class(isotopy, check=False).pairings
+    lhs = flux_class(isotopy).pairings
 
     ks = (
         np.arange(isotopy.steps + 1)
@@ -331,7 +320,7 @@ def loop_orbit_constancy(
     end = GridMap(torus, isotopy.disp[-1])
     if end.c0_distance() > loop_tol:
         raise ValueError("isotopy is not a loop at the identity")
-    fc = flux_class(isotopy, check=False)
+    fc = flux_class(isotopy)
     value = poincare_pair(form.harmonic, fc) / torus.volume_scale
     if sample_points is None:
         pts = torus.points[:: max(1, torus.points.shape[0] // 64)]
@@ -392,8 +381,8 @@ def flux_equality_via_orbits(
     return OrbitFluxVerdict(
         winding_difference=winding,
         contractible=not np.any(winding),
-        flux_phi=flux_class(phi, check=False).pairings,
-        flux_psi=flux_class(psi, check=False).pairings,
+        flux_phi=flux_class(phi).pairings,
+        flux_psi=flux_class(psi).pairings,
         tolerance=tol,
     )
 
@@ -436,7 +425,7 @@ def order_cycle_test(
     loop = iterate(phi, order)
     cycle = orbit_of(loop, x, reintegrate=False)
     winding = cycle.winding(tol=1e-5)
-    fc = flux_class(phi, check=False).pairings
+    fc = flux_class(phi).pairings
     relation = float(np.abs(fc - winding / order).max())
     return OrderCycleReport(order, winding, fc, relation, tol)
 
@@ -472,7 +461,7 @@ def rigidity_experiment(
 
     torus = limit_loop.torus
     flux_norms = np.array(
-        [flux_class(m, check=False).norm() for m in sequence]
+        [flux_class(m).norm() for m in sequence]
     )
     distances = np.array([c0_distance(m, limit_loop) for m in sequence])
     decreasing = len(sequence) < 2 or distances[-1] <= distances[0] + 1e-12
@@ -500,7 +489,7 @@ def flux_lattice(torus: FlatTorus, steps: int = 50) -> np.ndarray:
     for i in range(torus.dim):
         winding = [0] * torus.dim
         winding[i] = 1
-        rows.append(flux_class(translation_loop(torus, steps, winding), check=False).pairings)
+        rows.append(flux_class(translation_loop(torus, steps, winding)).pairings)
     return np.stack(rows)
 
 

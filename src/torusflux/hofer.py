@@ -178,7 +178,7 @@ def hodge_split_isotopy(isotopy: Isotopy, tol: float = 1e-3) -> HodgeSplit:
         torus, gen.times.copy(), rem_stack, kind="hamiltonian", gen=rem_gen
     )
 
-    rem_flux = flux_class(remainder, check=False).norm()
+    rem_flux = flux_class(remainder).norm()
     # consistency in integral form: the mean-displacement shift must retrace
     # the time integral of the rotated harmonic trace (differencing across
     # cutoff layers would drown in their high derivatives)
@@ -307,7 +307,6 @@ class FgeoReport:
 
     harmonic_residual: float
     endpoint_gap: float
-    theta_shift: np.ndarray  # (K+1, d) translation vectors of theta^t_1
 
 
 def fgeo_deformation(
@@ -324,23 +323,11 @@ def fgeo_deformation(
     """
     torus = isotopy.torus
     tol = flow_tolerance(torus.grid_res, 10.0) if flux_tol is None else flux_tol
-    fc = flux_class(isotopy, check=False)
+    fc = flux_class(isotopy)
     if fc.norm() > tol:
         raise ValueError(f"nonzero flux {fc.pairings}; cannot straighten")
-    split = hodge_split_isotopy(isotopy)
-    k1 = isotopy.steps + 1
-    rho_shift = isotopy.disp.reshape(k1, torus.dim, -1).mean(axis=2)
-    theta_shift = -rho_shift  # flow of Y_t at s = 1 cancels the harmonic path
-
-    combined = rho_shift + theta_shift
-    out_stack = split.remainder.disp + combined.reshape(
-        (k1, torus.dim) + (1,) * torus.dim
-    )
-    out_stack[0] = 0.0
-    out = Isotopy(
-        torus, split.remainder.times.copy(), out_stack, kind="hamiltonian",
-        gen=split.remainder.gen,
-    )
+    # theta^t_1 undoes the translation rho_t exactly, so theta o phi is the remainder
+    out = hodge_split_isotopy(isotopy).remainder
     # harmonic residual from the data: grid mean of i(velocity)omega
     ks = np.unique(np.linspace(0, out.steps, 9).astype(int))
     worst = 0.0
@@ -349,7 +336,7 @@ def fgeo_deformation(
         coeffs = contract_field_to_coeffs(w).reshape(torus.dim, -1).mean(axis=1)
         worst = max(worst, float(np.abs(coeffs).sum()))
     endpoint_gap = out.time_one().c0_distance(isotopy.time_one())
-    return out, FgeoReport(worst, endpoint_gap, theta_shift)
+    return out, FgeoReport(worst, endpoint_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +376,7 @@ def iteration_growth_check(isotopy: Isotopy, max_power: int = 10) -> GrowthRepor
     map applications and its length from the reparametrized generator
     trace, without materializing the full iterate displacement stacks.
     """
-    fc = flux_class(isotopy, check=False)
+    fc = flux_class(isotopy)
     if fc.norm() <= 1e-12:
         raise ValueError("iteration growth requires a nonzero flux class")
     torus = isotopy.torus
@@ -525,7 +512,7 @@ def norm_comparison_check(
     for label, iso in hamiltonian_paths:
         if iso.time_one().c0_distance(target) > match_tol:
             continue
-        if flux_class(iso, check=False).norm() > 1e-6:
+        if flux_class(iso).norm() > 1e-6:
             raise ValueError(f"candidate {label} is not a zero-flux path")
         zero_flux.append((label, iso))
     if not zero_flux:
@@ -556,8 +543,8 @@ def norm_comparison_check(
     if fluxed_path is not None and matching_loop is not None:
         gap = float(
             np.abs(
-                flux_class(fluxed_path, check=False).pairings
-                - flux_class(matching_loop, check=False).pairings
+                flux_class(fluxed_path).pairings
+                - flux_class(matching_loop).pairings
             ).max()
         )
         if gap > 1e-6:

@@ -17,8 +17,7 @@ a monotone ramp cannot achieve at delta = 1/8 (mean slope alone is already
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -31,6 +30,7 @@ from .flows import (
     interp_time,
     inverse,
     is_repeat,
+    pullback_potential,
 )
 
 _DENSE = 4096
@@ -106,9 +106,9 @@ def make_cutoff(delta: float = 1.0 / 32.0) -> CutoffFunction:
     return CutoffFunction(delta, smooth, sup_slope)
 
 
-@lru_cache(maxsize=4)
-def default_cutoff(delta: float = 1.0 / 32.0) -> CutoffFunction:
-    return make_cutoff(delta)
+@cache
+def default_cutoff() -> CutoffFunction:
+    return make_cutoff()
 
 
 # ---------------------------------------------------------------------------
@@ -116,47 +116,86 @@ def default_cutoff(delta: float = 1.0 / 32.0) -> CutoffFunction:
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(phi: Isotopy, psi: Isotopy) -> None:
-    if phi.torus != psi.torus:
-        raise ValueError("isotopies live on different tori")
-
-
-def _concat_times(phi: Isotopy, psi: Isotopy, steps: int | None) -> np.ndarray:
-    k = steps if steps is not None else phi.steps + psi.steps
-    k += k % 2
-    return np.linspace(0.0, 1.0, k + 1)
-
-
 def _reparam_generator(
-    iso: Isotopy, warped: np.ndarray, rates: np.ndarray
+    iso: Isotopy, warped: np.ndarray, rates: np.ndarray,
+    through: GridMap | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Generator trace ``rate * gen(warp)`` of iso, read from one extraction.
+
+    With ``through`` the trace is pulled back through that map: the function
+    part is :func:`~torusflux.flows.pullback_potential`'s, and the harmonic
+    part is unchanged.
+    """
     gen = generator_of(iso)
     u_out = np.empty((len(warped),) + iso.torus.shape)
     h_out = np.empty((len(warped), iso.torus.dim))
     for i, (w, r) in enumerate(zip(warped, rates)):
-        u_out[i] = r * interp_time(gen.times, gen.U, float(w))
-        h_out[i] = r * interp_time(gen.times, gen.H, float(w))
+        u = interp_time(gen.times, gen.U, float(w))
+        h = interp_time(gen.times, gen.H, float(w))
+        if through is None:
+            u_out[i] = r * u
+        elif r == 0.0:  # flat cutoff end: no spline to build
+            u_out[i] = 0.0
+        else:
+            u_out[i] = pullback_potential(through, u, h, float(r))
+        h_out[i] = r * h
     return u_out, h_out
 
 
-def _second_half(
-    stack: np.ndarray, half: int, times: np.ndarray, psi: Isotopy,
-    glue: Callable[[GridMap], GridMap],
-) -> None:
-    """Fill ``stack[half:]`` with ``glue(psi_tau)`` along the second half.
+def _concat(
+    first: Isotopy, second: Isotopy, steps: int | None, with_generator: bool,
+    left: bool,
+) -> Isotopy:
+    """Run ``first`` during [0, 1/2], then ``second`` glued to its time-one map.
 
-    A slice whose ``psi_tau`` repeats the previous one (a constant path, the
-    flat ends of the cutoff) copies the previous composed slice.
+    The second half is ``second_tau o first_1`` when ``left`` and
+    ``first_1 o second_tau`` otherwise.  A slice whose ``second_tau``
+    repeats the previous one (a constant path, the flat ends of the cutoff)
+    copies the previous composed slice.  The attached generator trace is
+    the reparametrized union of the pieces' traces; on the right the second
+    piece's is pushed forward by ``first_1``.
     """
+    if first.torus != second.torus:
+        raise ValueError("isotopies live on different tori")
     f = default_cutoff()
+    torus = first.torus
+    k = steps if steps is not None else first.steps + second.steps
+    k += k % 2
+    times = np.linspace(0.0, 1.0, k + 1)
+    half = k // 2
+    stack = np.empty((k + 1, torus.dim) + torus.shape)
+    for j in range(half + 1):
+        stack[j] = first.disp_at(float(f.lam(times[j])))
+    end = first.time_one()
     previous = None
-    for k in range(half, len(times)):
-        psi_tau = psi.map_at(float(f.tau(times[k])))
-        if is_repeat(psi_tau.disp, previous):
-            stack[k] = stack[k - 1]
-        else:
-            stack[k] = glue(psi_tau).disp
-            previous = psi_tau.disp
+    for j in range(half, k + 1):
+        second_tau = second.map_at(float(f.tau(times[j])))
+        if is_repeat(second_tau.disp, previous):
+            stack[j] = stack[j - 1]
+            continue
+        glued = (second_tau.compose(end, spectral=False) if left
+                 else end.compose(second_tau, spectral=False))
+        stack[j] = glued.disp
+        previous = second_tau.disp
+    stack[0] = 0.0
+    gen = None
+    if with_generator:
+        lo, hi = times[: half + 1], times[half:]
+        u1, h1 = _reparam_generator(first, f.lam(lo), 2.0 * f.deriv(2.0 * lo))
+        u2, h2 = _reparam_generator(
+            second, f.tau(hi), 2.0 * f.deriv(2.0 * hi - 1.0),
+            through=None if left else end.inverse(),
+        )
+        gen = GeneratorPair(times.copy(), np.concatenate([u1, u2[1:]]),
+                            np.concatenate([h1, h2[1:]]))
+    tags = {first.kind, second.kind}
+    if "general" in tags:
+        kind = "general"
+    elif tags <= {"hamiltonian"}:
+        kind = "hamiltonian"
+    else:
+        kind = "conservative"
+    return Isotopy(torus, times, stack, kind=kind, gen=gen)
 
 
 def concat_right(
@@ -176,45 +215,7 @@ def concat_right(
     the function part with ``phi_1^{-1}`` plus the explicit correction
     ``H . lift(phi_1^{-1})`` from pulling the harmonic form back.
     """
-    _check_pair(phi, psi)
-    f = default_cutoff()
-    torus = phi.torus
-    times = _concat_times(phi, psi, steps)
-    half = len(times) // 2
-    stack = np.empty((len(times), torus.dim) + torus.shape)
-    for k in range(half + 1):
-        stack[k] = phi.disp_at(float(f.lam(times[k])))
-    end = phi.time_one()
-    _second_half(stack, half, times, psi,
-                 lambda psi_tau: end.compose(psi_tau, spectral=False))
-    stack[0] = 0.0
-    gen = None
-    if with_generator:
-        t = times.reshape(-1)
-        first = slice(0, half + 1)
-        second = slice(half, len(times))
-        u1, h1 = _reparam_generator(phi, f.lam(t[first]), 2.0 * f.deriv(2.0 * t[first]))
-        u2, h2 = _reparam_generator(
-            psi, f.tau(t[second]), 2.0 * f.deriv(2.0 * t[second] - 1.0)
-        )
-        inv_end = end.inverse()
-        gen_psi = generator_of(psi)
-        for i in range(u2.shape[0]):
-            tau = float(f.tau(t[second][i]))
-            rate = float(2.0 * f.deriv(2.0 * t[second][i] - 1.0))
-            if rate == 0.0:
-                u2[i] = 0.0
-                continue
-            u_tau = interp_time(gen_psi.times, gen_psi.U, tau)
-            h_tau = interp_time(gen_psi.times, gen_psi.H, tau)
-            pulled = inv_end.compose_field(u_tau)
-            corr = np.tensordot(h_tau, inv_end.disp, axes=(0, 0))
-            total = rate * (pulled + corr)
-            u2[i] = total - total.mean()
-        u_full = np.concatenate([u1, u2[1:]])
-        h_full = np.concatenate([h1, h2[1:]])
-        gen = GeneratorPair(times.copy(), u_full, h_full)
-    return Isotopy(torus, times, stack, kind=_merge_kind(phi, psi), gen=gen)
+    return _concat(phi, psi, steps, with_generator, left=False)
 
 
 def concat_left(
@@ -231,40 +232,7 @@ def concat_left(
     so the integrated length is exactly additive; pass ``with_generator``
     to attach it.
     """
-    _check_pair(phi, psi)
-    f = default_cutoff()
-    torus = phi.torus
-    times = _concat_times(phi, psi, steps)
-    half = len(times) // 2
-    stack = np.empty((len(times), torus.dim) + torus.shape)
-    for k in range(half + 1):
-        stack[k] = phi.disp_at(float(f.lam(times[k])))
-    end = phi.time_one()
-    _second_half(stack, half, times, psi,
-                 lambda psi_tau: psi_tau.compose(end, spectral=False))
-    stack[0] = 0.0
-    gen = None
-    if with_generator:
-        t = times.reshape(-1)
-        first = slice(0, half + 1)
-        second = slice(half, len(times))
-        u1, h1 = _reparam_generator(phi, f.lam(t[first]), 2.0 * f.deriv(2.0 * t[first]))
-        u2, h2 = _reparam_generator(
-            psi, f.tau(t[second]), 2.0 * f.deriv(2.0 * t[second] - 1.0)
-        )
-        u_full = np.concatenate([u1, u2[1:]])
-        h_full = np.concatenate([h1, h2[1:]])
-        gen = GeneratorPair(times.copy(), u_full, h_full)
-    return Isotopy(torus, times, stack, kind=_merge_kind(phi, psi), gen=gen)
-
-
-def _merge_kind(phi: Isotopy, psi: Isotopy) -> str:
-    tags = {phi.kind, psi.kind}
-    if "general" in tags:
-        return "general"
-    if tags <= {"hamiltonian"}:
-        return "hamiltonian"
-    return "conservative"
+    return _concat(phi, psi, steps, with_generator, left=True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +240,7 @@ def _merge_kind(phi: Isotopy, psi: Isotopy) -> str:
 # ---------------------------------------------------------------------------
 
 
-def iterate(phi: Isotopy, power: int, with_generator: bool = False) -> Isotopy:
+def iterate(phi: Isotopy, power: int) -> Isotopy:
     """The l-fold iterate with time-one map ``(phi_1)^l``.
 
     Bin i of the time axis runs a fresh copy of the path on top of the i-th
@@ -306,13 +274,7 @@ def iterate(phi: Isotopy, power: int, with_generator: bool = False) -> Isotopy:
             stack[idx] = (lifted[i] - base_pts).T.reshape(
                 (torus.dim,) + torus.shape
             )
-    gen = None
-    if with_generator:
-        g = generator_of(base)
-        u_full = np.concatenate([g.U if i == 0 else g.U[1:] for i in range(m)])
-        h_full = np.concatenate([g.H if i == 0 else g.H[1:] for i in range(m)])
-        gen = GeneratorPair(times.copy(), m * u_full, m * h_full)
-    return Isotopy(torus, times, stack, kind=base.kind, gen=gen)
+    return Isotopy(torus, times, stack, kind=base.kind)
 
 
 def reparametrized(

@@ -156,15 +156,15 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
             4.0 - ratio, 0.0, bound=0.0)
 
     # canonical flux classes
-    fc = flux_mod.flux_class(bench.shear, check=False).pairings
+    fc = flux_mod.flux_class(bench.shear).pairings
     expected = np.zeros(torus.dim)
     expected[0] = config.shear_amplitude / 2.0
     out.add("flux-03-shear-class", "flux of the standard shear",
             float(np.abs(fc - expected).max()), 1e-7)
-    fc = flux_mod.flux_class(bench.hamiltonian_shear, check=False).norm()
+    fc = flux_mod.flux_class(bench.hamiltonian_shear).norm()
     out.add("flux-04-hamiltonian-class", "flux of a Hamiltonian flow",
             fc, 1e-7)
-    fc = flux_mod.flux_class(bench.translation_loop, check=False).pairings
+    fc = flux_mod.flux_class(bench.translation_loop).pairings
     loop_expected = np.zeros(torus.dim)
     loop_expected[0] = 1.0
     out.add("flux-05-translation-loop-class", "flux of a coordinate loop",
@@ -178,8 +178,8 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
         end = phi.time_one().compose(psi.time_one())
         combined = end.disp.reshape(torus.dim, -1).mean(axis=1)
         parts = (
-            flux_mod.flux_class(phi, check=False).pairings
-            + flux_mod.flux_class(psi, check=False).pairings
+            flux_mod.flux_class(phi).pairings
+            + flux_mod.flux_class(psi).pairings
         )
         worst = max(worst, float(np.abs(combined - parts).max()))
     out.add("flux-06-homomorphism", "flux additivity under composition",
@@ -199,7 +199,7 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
 
     # representative independence
     base_val = poincare_pair(bench.dx.harmonic,
-                             flux_mod.flux_class(bench.shear, check=False))
+                             flux_mod.flux_class(bench.shear))
     shifted = OneForm(torus, bench.dx.harmonic,
                       np.cos(2 * np.pi * torus.grid[1]) / 7)
     shifted_val = integrate(
@@ -267,7 +267,7 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
             max_winding, 0.0)
 
     # zero flux iff contractible orbits, both directions
-    ham_fc = flux_mod.flux_class(bench.hamiltonian_loop, check=False).norm()
+    ham_fc = flux_mod.flux_class(bench.hamiltonian_loop).norm()
     out.add("flux-15-kernel-forward", "zero flux from contractible orbits",
             ham_fc, 1e-6)
     value, _ = flux_mod.loop_orbit_constancy(bench.translation_loop, bench.dx)
@@ -306,7 +306,7 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
         bench.dx, target, config.steps,
     )
     achieved = poincare_pair(bench.dx.harmonic,
-                             flux_mod.flux_class(scaled, check=False))
+                             flux_mod.flux_class(scaled))
     out.add("flux-21-surjectivity", "prescribed flux by time scaling",
             abs(achieved - target), 1e-7)
 
@@ -446,7 +446,7 @@ def scenario_iteration_growth(bench: Workbench) -> tuple[list[ReportRow], dict]:
 
     half = bench.half_translation
     linf = hofer_mod.lengths(half).linf_length
-    k0_half = flux_mod.flux_class(half, check=False).norm()
+    k0_half = flux_mod.flux_class(half).norm()
     out.add("growth-04-sup-length-bound", "flux pairing below the sup length",
             k0_half - linf, 1e-9)
 
@@ -752,9 +752,7 @@ def run_verify(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     rows: list[ReportRow] = []
     extras: dict = {"tables": {}}
     parts = [(name, lambda name=name: run_scenario(name, config, bench))
-             for name in ("flux", "defect-survey", "separation", "rigidity",
-                          "iteration-growth", "norm-comparison", "deformation",
-                          "factorization2")]
+             for name in _SCENARIOS]
     parts.append(("displacement", lambda: (_displacement_rows(bench), {})))
     parts.append(("hofer", lambda: (_hofer_rows(bench), {})))
     for name, part in parts:

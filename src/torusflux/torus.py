@@ -372,7 +372,6 @@ class FluxClass:
     """Flux functional of an isotopy stored as the d pairings with [dx_i]."""
 
     pairings: np.ndarray
-    conservative_residual: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pairings", np.asarray(self.pairings, dtype=float))

@@ -112,7 +112,7 @@ def test_c06_orbit_homology():
     ])
     from torusflux.flux import flux_class
 
-    forward = flux_class(ham, check=False).norm()  # contractible => zero flux
+    forward = flux_class(ham).norm()  # contractible => zero flux
     converse = abs(value - 1.0)  # nonzero flux => winding orbits
     ok = (abs(value - 1.0) <= 1e-6 and dev <= 1e-6
           and not np.any(windings) and forward <= 1e-6 and converse <= 1e-6)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from torusflux import (
-    FlatTorus,
     GridMap,
     InversionError,
     TimeField,
@@ -12,7 +11,6 @@ from torusflux import (
     flow,
     generator_of,
     generator_residual,
-    hamiltonian_field,
     harmonic_isotopy,
     inverse,
     velocity,
@@ -71,26 +69,9 @@ class TestFlow:
 
 
 class TestHamiltonianField:
-    def test_constant_hamiltonian(self, torus):
-        field = hamiltonian_field(torus, lambda t: np.ones(torus.shape))
-        assert np.abs(field.sample(0.0)).max() < 1e-12
-
-    def test_cosine_hamiltonian(self, torus):
-        # H = cos(2 pi y) / (2 pi) generates X = (-sin(2 pi y), 0)
-        h = np.cos(2 * np.pi * torus.grid[1]) / (2 * np.pi)
-        field = hamiltonian_field(torus, lambda t: h)
-        samples = field.sample(0.3)
-        assert np.abs(samples[0] + np.sin(2 * np.pi * torus.grid[1])).max() < 1e-10
-        assert np.abs(samples[1]).max() < 1e-10
-
     def test_divergence_free(self, torus, rng):
         ham = TrigHamiltonian(torus, rng)
         assert ham.field().divergence_residual() < 1e-10
-
-    def test_requires_symplectic(self):
-        plain = FlatTorus(2, 16)
-        with pytest.raises(ValueError):
-            hamiltonian_field(plain, lambda t: np.ones(plain.shape))
 
     def test_kind_tag_validation(self, torus):
         def bad(t, p):

@@ -11,7 +11,7 @@ from torusflux.families import (
     x_shear_field,
     y_shear_field,
 )
-from torusflux.flows import TimeField, flow, identity_isotopy
+from torusflux.flows import TimeField, flow, identity_isotopy, verify_conservative
 from torusflux.flux import (
     cocycle_residual,
     factorization1_check,
@@ -78,14 +78,14 @@ class TestFluxFunction:
 
 class TestFluxClass:
     def test_shear(self, shear):
-        fc = flux_class(shear, check=False)
+        fc = flux_class(shear)
         assert np.abs(fc.pairings - [0.5, 0.0]).max() < 1e-7
 
     def test_hamiltonian(self, ham_shear):
-        assert flux_class(ham_shear, check=False).norm() < 1e-7
+        assert flux_class(ham_shear).norm() < 1e-7
 
     def test_translation_loop(self, trans_loop):
-        fc = flux_class(trans_loop, check=False)
+        fc = flux_class(trans_loop)
         assert np.abs(fc.pairings - [1.0, 0.0]).max() < 1e-9
 
     def test_nonconservative_warns(self, torus):
@@ -94,9 +94,9 @@ class TestFluxClass:
             out[..., 0] = 0.3 * np.sin(2 * np.pi * p[..., 0])
             return out
 
+        # flux_class does not check conservativity; verify_conservative does
         iso = flow(TimeField(torus, bad), 60)
-        with pytest.warns(UserWarning):
-            flux_class(iso)
+        assert not verify_conservative(iso, nt=3).ok
 
     def test_homomorphism_over_pairs(self, torus, rng):
         worst = 0.0
@@ -106,8 +106,8 @@ class TestFluxClass:
             end = phi.time_one().compose(psi.time_one())
             combined = end.disp.reshape(2, -1).mean(axis=1)
             parts = (
-                flux_class(phi, check=False).pairings
-                + flux_class(psi, check=False).pairings
+                flux_class(phi).pairings
+                + flux_class(psi).pairings
             )
             worst = max(worst, float(np.abs(combined - parts).max()))
         assert worst < 1e-6
@@ -329,7 +329,7 @@ class TestLatticeAndSurjectivity:
         field = x_shear_field(torus, shear_profile(1.0))
         for target in (2.0, -0.7, 0.3):
             iso = scaled_to_target(field, dx, target, 80)
-            got = poincare_pair(dx.harmonic, flux_class(iso, check=False))
+            got = poincare_pair(dx.harmonic, flux_class(iso))
             assert abs(got - target) < 1e-7
 
     def test_zero_pairing_rejected(self, torus, dx):

@@ -200,7 +200,7 @@ class TestFgeo:
         assert routes.count(True) == 1
         assert report.harmonic_residual < 1e-6
         assert report.endpoint_gap < 1e-6
-        assert flux_class(out, check=False).norm() < 1e-9
+        assert flux_class(out).norm() < 1e-9
 
     def test_nonzero_flux_rejected(self, torus, shear):
         with pytest.raises(ValueError):
@@ -230,7 +230,7 @@ class TestIterationGrowth:
 
     def test_half_translation_sup_variant(self, torus):
         half = translation_isotopy(torus, 100, (0.5, 0.0))
-        k0 = flux_class(half, check=False).norm()
+        k0 = flux_class(half).norm()
         assert k0 == pytest.approx(0.5, abs=1e-9)
         assert k0 <= lengths(half).linf_length + 1e-9
 

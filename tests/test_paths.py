@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusflux import GridMap, c0_distance, generator_of, identity_isotopy
+from torusflux import GridMap, c0_distance, generator_of, identity_isotopy, paths
 from torusflux.families import (
     shear_profile,
     translation_isotopy,
 )
 from torusflux.flux import flux_class, orbit_of
+from torusflux.flows import interp_time
 from torusflux.hofer import lengths
 from torusflux.paths import (
     concat_left,
@@ -76,8 +77,8 @@ class TestConcat:
         from torusflux import identity_isotopy
 
         glued = concat_right(shear, identity_isotopy(torus, 50))
-        base = flux_class(shear, check=False).pairings
-        got = flux_class(glued, check=False).pairings
+        base = flux_class(shear).pairings
+        got = flux_class(glued).pairings
         assert np.abs(got - base).max() < 1e-9
 
     def test_right_orbit_gluing(self, torus, shear):
@@ -106,11 +107,9 @@ class TestConcat:
 
     def test_flux_additive_both_orders(self, torus, shear):
         tr = translation_isotopy(torus, 100, (0.25, 0.1))
-        total = flux_class(shear, check=False).pairings + flux_class(
-            tr, check=False
-        ).pairings
+        total = flux_class(shear).pairings + flux_class(tr).pairings
         for glued in (concat_right(shear, tr), concat_left(tr, shear)):
-            got = flux_class(glued, check=False).pairings
+            got = flux_class(glued).pairings
             assert np.abs(got - total).max() < 1e-6
 
     def test_torus_mismatch(self, torus, shear):
@@ -140,8 +139,8 @@ class TestIterate:
     def test_power_one_is_reparametrization(self, torus, shear):
         it = iterate(shear, 1)
         assert c0_distance(it, shear) < 1e-9
-        base = flux_class(shear, check=False).pairings
-        assert np.abs(flux_class(it, check=False).pairings - base).max() < 1e-9
+        base = flux_class(shear).pairings
+        assert np.abs(flux_class(it).pairings - base).max() < 1e-9
 
     def test_triple_loop_winding(self, torus, trans_loop):
         it = iterate(trans_loop, 3)
@@ -158,16 +157,9 @@ class TestIterate:
             iterate(shear, 0)
 
     def test_flux_linearity(self, torus, shear):
-        base = flux_class(shear, check=False).pairings
+        base = flux_class(shear).pairings
         it = iterate(shear, 3)
-        assert np.abs(flux_class(it, check=False).pairings - 3 * base).max() < 1e-6
-
-    def test_generator_tile_matches_data(self, torus, trans_loop):
-        # the tiled generator trace reproduces the honestly measured length
-        it = iterate(trans_loop, 3, with_generator=True)
-        assert abs(lengths(it).l1_length - 3.0) < 1e-9
-        data_gen = generator_of(it, from_data=True)
-        assert np.abs(data_gen.H - it.gen.H).max() < 1e-6
+        assert np.abs(flux_class(it).pairings - 3 * base).max() < 1e-6
 
 
 class TestLengthLaws:
@@ -206,6 +198,7 @@ class TestRepeatedSlices:
 
     @staticmethod
     def _per_slice(glue_left, psi, phi, steps):
+        """Displacements and generator trace of the concatenation, slice by slice."""
         f = default_cutoff()
         times = np.linspace(0.0, 1.0, steps + 1)
         half = steps // 2
@@ -219,7 +212,29 @@ class TestRepeatedSlices:
                      else end.compose(psi_tau, spectral=False))
             stack[k] = glued.disp
         stack[0] = 0.0
-        return stack
+
+        gen_phi, gen_psi, inv_end = generator_of(phi), generator_of(psi), end.inverse()
+        U = np.empty((steps + 1,) + phi.torus.shape)
+        H = np.empty((steps + 1, 2))
+        for k, t in enumerate(times):
+            if k <= half:
+                gen, s, rate = gen_phi, f.lam(t), 2.0 * f.deriv(2.0 * t)
+            else:
+                gen, s, rate = gen_psi, f.tau(t), 2.0 * f.deriv(2.0 * t - 1.0)
+            u = interp_time(gen.times, gen.U, float(s))
+            h = interp_time(gen.times, gen.H, float(s))
+            H[k] = rate * h
+            if k <= half or glue_left:
+                U[k] = rate * u
+            elif rate == 0.0:
+                U[k] = 0.0
+            else:
+                # the generator of phi_1 o psi_tau is psi's pushed forward by
+                # phi_1: U o phi_1^{-1} + <H, lift(phi_1^{-1})>, mean zero
+                pushed = rate * (inv_end.compose_field(u)
+                                 + np.tensordot(h, inv_end.disp, axes=(0, 0)))
+                U[k] = pushed - pushed.mean()
+        return stack, U, H
 
     def _counting_compose(self, monkeypatch):
         calls = []
@@ -234,7 +249,7 @@ class TestRepeatedSlices:
 
     def test_identity_loop_composes_once(self, torus, ham_shear, monkeypatch):
         triv = identity_isotopy(torus, 50)
-        ref = self._per_slice(True, triv, ham_shear, 1600)
+        ref, _, _ = self._per_slice(True, triv, ham_shear, 1600)
         calls = self._counting_compose(monkeypatch)
         out = concat_left(triv, ham_shear, steps=1600)
         assert len(calls) <= 2
@@ -243,9 +258,39 @@ class TestRepeatedSlices:
     def test_flat_cutoff_ends_are_not_recomposed(
         self, torus, ham_shear, trans_loop, monkeypatch
     ):
-        ref = self._per_slice(False, trans_loop, ham_shear, 400)
+        ref, _, _ = self._per_slice(False, trans_loop, ham_shear, 400)
         calls = self._counting_compose(monkeypatch)
         out = concat_right(ham_shear, trans_loop, steps=400)
         # tau is flat (0 or 1) on 7 slices at each end of the second half
         assert len(calls) == 201 - 12
         assert np.array_equal(out.disp, ref)
+
+    @pytest.mark.parametrize("glue_left", [True, False])
+    def test_generator_trace_matches_per_slice(self, shear, ham_shear, glue_left):
+        # the second piece has both a function and a harmonic part, and the
+        # first piece's time-one map is not a translation
+        stack, U, H = self._per_slice(glue_left, shear, ham_shear, 200)
+        if glue_left:
+            out = concat_left(shear, ham_shear, steps=200, with_generator=True)
+        else:
+            out = concat_right(ham_shear, shear, steps=200, with_generator=True)
+        assert np.abs(U[150]).max() > 0.0 and np.abs(H[150]).max() > 0.0
+        assert np.array_equal(out.disp, stack)
+        assert np.array_equal(out.gen.U, U)
+        assert np.array_equal(out.gen.H, H)
+
+    def test_each_piece_generator_is_extracted_once(
+        self, shear, ham_shear, monkeypatch
+    ):
+        calls = []
+
+        def counting(iso, *args, **kwargs):
+            calls.append(iso)
+            return generator_of(iso, *args, **kwargs)
+
+        monkeypatch.setattr(paths, "generator_of", counting)
+        for out in (concat_right(ham_shear, shear, steps=100, with_generator=True),
+                    concat_left(shear, ham_shear, steps=100, with_generator=True)):
+            assert out.gen is not None
+        # ham_shear runs first in both, and each piece is read once per concatenation
+        assert [id(iso) for iso in calls] == [id(ham_shear), id(shear)] * 2

@@ -64,6 +64,41 @@ class TestCompareReports:
         assert "a-01 bound: 0.0 -> -0.0" in result.stdout
         assert "a-01 tolerance: 1e-09 -> 2e-09" in result.stdout
 
+    def _dirs(self, tmp_path, old_csv, new_csv):
+        paths = []
+        for name, text in (("old", old_csv), ("new", new_csv)):
+            out = tmp_path / name
+            out.mkdir()
+            write_json(self.ROWS, out / "report.json", {}, 15.0)
+            if text is not None:
+                (out / "defects.csv").write_text(text)
+            paths.append(out / "report.json")
+        return paths
+
+    def test_identical_tables_pass(self, tmp_path):
+        table = "pair,defect\n0,1.5e-3\n1,2.5e-3\n"
+        result = _run(*self._dirs(tmp_path, table, table))
+        assert result.returncode == 0, result.stdout
+        assert "2 rows identical" in result.stdout
+
+    def test_table_difference_prints_first_line(self, tmp_path):
+        old = "pair,defect\n0,1.5e-3\n1,2.5e-3\n2,4e-3\n"
+        new = "pair,defect\n0,1.5e-3\n1,2.50000000001e-3\n2,5e-3\n"
+        result = _run(*self._dirs(tmp_path, old, new))
+        assert result.returncode == 1
+        assert "defects.csv line 3: '1,2.5e-3' -> '1,2.50000000001e-3'" in result.stdout
+        assert "1 difference(s)" in result.stdout
+
+    def test_table_extended_by_a_row(self, tmp_path):
+        old = "pair,defect\n0,1.5e-3\n"
+        result = _run(*self._dirs(tmp_path, old, old + "1,2.5e-3\n"))
+        assert result.returncode == 1
+        assert "defects.csv line 3: '' -> '1,2.5e-3'" in result.stdout
+
+    def test_table_on_one_side_is_not_compared(self, tmp_path):
+        result = _run(*self._dirs(tmp_path, "pair,defect\n", None))
+        assert result.returncode == 0, result.stdout
+
 
 # stands in for perfbench/run.py: prints the run's closing two JSON lines,
 # with wall_s = base + seed + a count of earlier runs in this checkout, and
