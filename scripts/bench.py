@@ -11,6 +11,13 @@ pair (the per-layer totals).  The side that runs first alternates from pair
 to pair (the parent on even pairs), so neither slow drift of the machine
 nor running second favours one side.  The file also records the machine,
 ``nproc`` and the library versions that ``run.py`` reports.
+
+For every workload, seed and end-to-end metric, ``comparison`` holds each
+side's median and quartiles over the trace-0 runs, the signed gain (parent
+median minus change median, or the reverse for a ``better: higher``
+metric, so a positive gain favours the change), the parent's
+interquartile range and the number of pairs each side won, pairs being
+matched by index and ties counting for neither.  The summary prints them.
 """
 
 from __future__ import annotations
@@ -82,6 +89,48 @@ def measure(roots: dict[str, Path], workloads: list[str],
     return results, environment
 
 
+def _quartiles(values: list[float]) -> list[float]:
+    """``[q1, median, q3]``, linear between order statistics."""
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def _gain(better: str, parent: float, change: float) -> float:
+    """How much better the change reads; positive favours the change."""
+    return parent - change if better == "lower" else change - parent
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.2f}" if abs(value) >= 1.0 else f"{value:.4f}"
+
+
+def compare(results: dict, better: dict[str, str]) -> dict:
+    """Per workload, seed and end-to-end metric: quartiles, gain and wins."""
+    out: dict = {}
+    for workload, seeds in results["parent"].items():
+        for seed, entry in seeds.items():
+            rows = out.setdefault(workload, {}).setdefault(seed, {})
+            parent_runs = entry["runs"]
+            change_runs = results["change"][workload][seed]["runs"]
+            for name, direction in better.items():
+                if name not in entry["end_to_end"]:
+                    continue
+                parent = [r["metrics"][name] for r in parent_runs]
+                change = [r["metrics"][name] for r in change_runs]
+                margins = [_gain(direction, p, c) for p, c in zip(parent, change)]
+                pq, cq = _quartiles(parent), _quartiles(change)
+                rows[name] = {
+                    "better": direction,
+                    "parent": pq,
+                    "change": cq,
+                    "gain": _gain(direction, pq[1], cq[1]),
+                    "parent_iqr": pq[2] - pq[0],
+                    "pairs": len(margins),
+                    "change_wins": sum(m > 0 for m in margins),
+                    "parent_wins": sum(m < 0 for m in margins),
+                }
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True,
@@ -93,7 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     seconds = spec["run_seconds"]
     workloads = [workload["name"] for workload in spec["workloads"]]
     roots = {"parent": args.parent.resolve(), "change": ROOT}
+    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     results, environment = measure(roots, workloads, seconds)
+    comparison = compare(results, better)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
         "pr": args.pr,
@@ -103,14 +154,18 @@ def main(argv: list[str] | None = None) -> int:
         "machine": {"platform": platform.platform(),
                     "machine": platform.machine(), **environment},
         "results": results,
+        "comparison": comparison,
     }, indent=1) + "\n")
-    print(f"wrote {out}")
+    print(f"wrote {out}; median (q1-q3), gain > 0 favours the change")
     for workload in workloads:
         for seed in SEEDS:
-            walls = {label: results[label][workload][f"seed{seed}"]["end_to_end"]["wall_s"]
-                     for label in roots}
-            print(f"  {workload} seed {seed}: wall_s "
-                  + ", ".join(f"{label} {wall:.2f}" for label, wall in walls.items()))
+            for name, row in comparison[workload][f"seed{seed}"].items():
+                (p1, pm, p3), (c1, cm, c3) = map(_fmt, row["parent"]), map(_fmt, row["change"])
+                print(f"  {workload} seed {seed}: {name} parent {pm}, change {cm}"
+                      f" (parent {p1}-{p3}, change {c1}-{c3});"
+                      f" gain {_fmt(row['gain'])} vs parent IQR {_fmt(row['parent_iqr'])};"
+                      f" change won {row['change_wins']}/{row['pairs']},"
+                      f" parent {row['parent_wins']}/{row['pairs']}")
     return 0
 
 

@@ -141,6 +141,17 @@ def constant_field(torus: FlatTorus, velocity) -> TimeField:
 # ---------------------------------------------------------------------------
 
 
+def _grid_det(jac: np.ndarray) -> np.ndarray:
+    """Pointwise determinant of a grid Jacobian ``(d, d) + grid``.
+
+    In closed form on T^2, where LAPACK would factor one 2x2 matrix per grid
+    point; by :func:`numpy.linalg.det` in higher dimensions.
+    """
+    if jac.shape[0] == 2:
+        return jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    return np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)))
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Torus diffeomorphism sampled on the grid as a lifted displacement.
@@ -185,9 +196,15 @@ class GridMap:
 
         ``samples`` are grid samples of f, scalar or stacked ``(lead,) +
         grid``, or a :class:`PeriodicInterp` already built from them; f is
-        evaluated by cubic spline at the exact grid image.
+        evaluated by cubic spline at the exact grid image.  Samples with no
+        nonzero entry give +0.0 zeros without a spline, the value the cubic
+        spline of the zero function takes everywhere.
         """
         if not isinstance(samples, PeriodicInterp):
+            samples = np.asarray(samples, dtype=float)
+            lead = samples.shape[: samples.ndim - self.torus.dim]
+            if samples.shape == lead + self.torus.shape and not samples.any():
+                return np.zeros(samples.shape)
             samples = PeriodicInterp(self.torus, samples)
         vals = samples.at(self.image_points())  # (N^d,) + lead
         return np.moveaxis(vals, 0, -1).reshape(vals.shape[1:] + self.torus.shape)
@@ -283,7 +300,7 @@ class GridMap:
         and has no inverse.
         """
         jac = self.jacobian() if jac is None else jac
-        worst = float(np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1))).min())
+        worst = float(_grid_det(jac).min())
         if not worst > 0.0:
             raise InversionError(f"map folds over (min det D(phi) = {worst:.3e})")
 
@@ -297,8 +314,7 @@ class GridMap:
         return out
 
     def det_jacobian(self) -> np.ndarray:
-        jac = np.moveaxis(self.jacobian(), (0, 1), (-2, -1))
-        return np.linalg.det(jac)
+        return _grid_det(self.jacobian())
 
     def pullback(self, components: np.ndarray) -> np.ndarray:
         """Pullback of a sampled 1-form: ``(phi^* a)_i = (Da)_ji a_j(phi)``."""

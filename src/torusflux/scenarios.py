@@ -687,15 +687,15 @@ def _hofer_rows(bench: Workbench) -> list[ReportRow]:
     torus = bench.torus
     out = _Timer()
 
-    rep = hofer_mod.lengths(bench.hamiltonian_shear,
-                            validate_tol=config.flow_tol(100.0))
+    shear_rep = hofer_mod.lengths(bench.hamiltonian_shear,
+                                  validate_tol=config.flow_tol(100.0))
     out.add("hofer-01-shear-length", "length of the Hamiltonian shear",
-            abs(rep.l1_length - 1.0 / np.pi), 1e-9)
+            abs(shear_rep.l1_length - 1.0 / np.pi), 1e-9)
 
     tr = translation_isotopy(torus, config.steps, (0.4, 0.0))
-    rep = hofer_mod.lengths(tr)
+    tr_rep = hofer_mod.lengths(tr)
     out.add("hofer-02-translation-length", "length of a harmonic path",
-            abs(rep.l1_length - 0.4), 1e-9)
+            abs(tr_rep.l1_length - 0.4), 1e-9)
 
     samples = np.zeros((torus.dim,) + torus.shape)
     samples[0] = 0.7
@@ -709,21 +709,14 @@ def _hofer_rows(bench: Workbench) -> list[ReportRow]:
 
     concat = concat_left(tr, bench.hamiltonian_shear, steps=1600,
                          with_generator=True)
-    gap = abs(
-        hofer_mod.lengths(concat).l1_length
-        - hofer_mod.lengths(tr).l1_length
-        - hofer_mod.lengths(bench.hamiltonian_shear).l1_length
-    )
+    concat_rep = hofer_mod.lengths(concat)
+    gap = abs(concat_rep.l1_length - tr_rep.l1_length - shear_rep.l1_length)
     out.add("hofer-05-length-additivity", "concatenation length additivity",
             gap, 1e-9)
 
-    linf_concat = hofer_mod.lengths(concat).linf_length
-    linf_bound = 2.4 * (
-        hofer_mod.lengths(tr).linf_length
-        + hofer_mod.lengths(bench.hamiltonian_shear).linf_length
-    )
+    linf_bound = 2.4 * (tr_rep.linf_length + shear_rep.linf_length)
     out.add("hofer-06-sup-length-bound", "sup length concatenation bound",
-            linf_concat, 0.0, bound=linf_bound)
+            concat_rep.linf_length, 0.0, bound=linf_bound)
 
     split = hofer_mod.hodge_split_isotopy(bench.hamiltonian_shear)
     out.add("hofer-07-hodge-split", "isotopy factorization residuals",

@@ -398,3 +398,69 @@ class TestRepeatedSlices:
         assert not is_repeat(a, None)
         assert not is_repeat(np.array([-0.0, 1.0]), a)
         assert not is_repeat(np.array([np.nan]), np.array([np.nan]))
+
+
+class TestShortcuts:
+    """An all-zero field composes without a spline, and the T^2 determinant
+    is taken in closed form; both give the numbers of the general route."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        from torusflux.torus import PeriodicInterp
+
+        made = []
+        init = PeriodicInterp.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PeriodicInterp, "__init__", counting)
+        return made
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_field_composes_without_a_spline(self, torus, shear, builds,
+                                                  lead, zero):
+        from torusflux.torus import PeriodicInterp
+
+        end = shear.time_one()
+        zeros = np.full(lead + torus.shape, zero)
+        got = end.compose_field(zeros)
+        assert builds == []
+        assert np.array_equal(got, end.compose_field(PeriodicInterp(torus, zeros)))
+        assert got.shape == zeros.shape and not np.signbit(got).any()
+
+    def test_harmonic_second_piece_is_pushed_forward_without_splines(
+        self, ham_shear, trans_loop, builds
+    ):
+        from torusflux.paths import concat_right
+
+        # the translation loop's potential is zero on every slice; pushing it
+        # forward built one spline per distinct second-half slice (94 here)
+        out = concat_right(ham_shear, trans_loop, with_generator=True)
+        assert out.gen is not None
+        assert len(builds) <= 1
+
+    @pytest.mark.parametrize("spread", [0.05, 2.0])
+    def test_closed_form_det_matches_lapack(self, torus, rng, spread):
+        from torusflux.flows import _grid_det
+
+        # spread 2.0 folds: about half the grid points have det < 0
+        jac = np.eye(2).reshape(2, 2, 1, 1) + spread * rng.standard_normal(
+            (2, 2) + torus.shape)
+        lapack = np.linalg.det(np.moveaxis(jac, (0, 1), (-2, -1)))
+        if spread > 1.0:
+            assert (lapack < 0).mean() > 0.2
+        scale = np.abs(jac[0, 0] * jac[1, 1]) + np.abs(jac[0, 1] * jac[1, 0])
+        assert np.all(np.abs(_grid_det(jac) - lapack) <= 1e-14 * scale)
+
+    def test_det_jacobian_on_t3_is_lapack(self):
+        from torusflux import FlatTorus
+
+        t3 = FlatTorus(3, 8)
+        disp = np.stack([0.05 * np.sin(2 * np.pi * t3.grid[(i + 1) % 3])
+                         * np.cos(2 * np.pi * t3.grid[i]) for i in range(3)])
+        g = GridMap(t3, disp)
+        lapack = np.linalg.det(np.moveaxis(g.jacobian(), (0, 1), (-2, -1)))
+        assert np.array_equal(g.det_jacobian(), lapack)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -144,7 +145,10 @@ class TestBench:
         (change / "scripts").mkdir()
         shutil.copy(SCRIPTS / "bench.py", change / "scripts" / "bench.py")
         (change / "BENCHMARK.json").write_text(json.dumps(
-            {"run_seconds": 7, "workloads": [{"name": "normcmp", "why": ""}]}))
+            {"run_seconds": 7, "workloads": [{"name": "normcmp", "why": ""}],
+             "end_to_end": [{"name": "wall_s", "better": "lower"},
+                            {"name": "setup_s", "better": "lower"},
+                            {"name": "pass_frac", "better": "higher"}]}))
         result = subprocess.run(
             [sys.executable, str(change / "scripts" / "bench.py"), "--pr", "7",
              "--parent", str(parent)],
@@ -171,6 +175,38 @@ class TestBench:
             assert seeds["seed1"]["layers"] == {"torus.eval_spectral.calls": base}
             assert seeds["seed1"]["layers_correct"] is True
         assert "normcmp seed 1: wall_s parent 26.50, change 36.50" in result.stdout
+        # runs k = 0..9 read base + k (seed 0): quartiles 2.25, 4.5, 6.75;
+        # setup_s is not reported by the fake run.py and is left out
+        seed0 = bench["comparison"]["normcmp"]["seed0"]
+        assert set(seed0) == {"wall_s", "pass_frac"}
+        assert seed0["wall_s"] == {
+            "better": "lower", "parent": [12.25, 14.5, 16.75],
+            "change": [22.25, 24.5, 26.75], "gain": -10.0, "parent_iqr": 4.5,
+            "pairs": 10, "change_wins": 0, "parent_wins": 10}
+        tie = seed0["pass_frac"]
+        assert (tie["change_wins"], tie["parent_wins"], tie["gain"]) == (0, 0, 0.0)
+        assert bench["comparison"]["normcmp"]["seed1"]["wall_s"]["parent"][1] == 26.5
+        assert ("normcmp seed 0: wall_s parent 14.50, change 24.50 (parent 12.25-16.75,"
+                " change 22.25-26.75); gain -10.00 vs parent IQR 4.50;"
+                " change won 0/10, parent 10/10") in result.stdout
+
+    def test_wins_follow_the_better_direction(self):
+        spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        def side(values):
+            return {"w": {"seed0": {"end_to_end": {"m": 0.0},
+                                    "runs": [{"metrics": {"m": v}} for v in values]}}}
+
+        results = {"parent": side([1.0, 2.0, 3.0, 4.0, 5.0]),
+                   "change": side([0.5, 2.0, 1.0, 5.0, 3.0])}
+        # pair 1 ties; the change reads lower in pairs 0, 2 and 4
+        for better, wins, gain in (("lower", (3, 1), 1.0), ("higher", (1, 3), -1.0)):
+            row = bench.compare(results, {"m": better})["w"]["seed0"]["m"]
+            assert (row["change_wins"], row["parent_wins"]) == wins
+            assert row["gain"] == gain and row["pairs"] == 5
+            assert row["parent"] == [2.0, 3.0, 4.0] and row["change"] == [1.0, 2.0, 3.0]
 
     def test_sides_alternate_in_running_first(self, bench):
         _, _, log = bench
