@@ -25,23 +25,25 @@ def shear_profile(amplitude: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _shear_evaluator(
-    g: Callable[[np.ndarray], np.ndarray], moved: int, along: int
+    *parts: tuple[Callable[[np.ndarray], np.ndarray], int, int],
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Evaluator of the autonomous shear ``X^moved = g(x^along)``, other parts 0.
+    """Evaluator of the autonomous shear ``X^moved = g(x^along)`` summed over
+    ``parts = (g, moved, along), ...``, other components 0.
 
-    The flow never changes ``x^along``, so every RK4 stage of every step
-    hands g the same coordinates: a call whose coordinates repeat the
-    previous call's reuses the previous profile values.
+    No part moves a coordinate that a part reads, so the flow never changes
+    any ``x^along`` and every RK4 stage of every step hands each g the same
+    coordinates: a part whose coordinates repeat its previous call's reuses
+    its previous profile values.
     """
-    last_arg = last_val = None
+    cache: list[tuple] = [(None, None)] * len(parts)  # (last arg, last value)
 
     def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-        nonlocal last_arg, last_val
-        arg = points[..., along]
-        if not is_repeat(arg, last_arg):
-            last_arg, last_val = arg.copy(), g(arg)
         out = np.zeros_like(points)
-        out[..., moved] = last_val
+        for i, (g, moved, along) in enumerate(parts):
+            arg = points[..., along]
+            if not is_repeat(arg, cache[i][0]):
+                cache[i] = (arg.copy(), g(arg))
+            out[..., moved] = cache[i][1]
         return out
 
     return evaluator
@@ -49,12 +51,12 @@ def _shear_evaluator(
 
 def x_shear_field(torus: FlatTorus, g: Callable[[np.ndarray], np.ndarray]) -> TimeField:
     """Divergence-free shear X = (g(y), 0, ...)."""
-    return TimeField(torus, _shear_evaluator(g, 0, 1), "conservative")
+    return TimeField(torus, _shear_evaluator((g, 0, 1)), "conservative")
 
 
 def y_shear_field(torus: FlatTorus, g: Callable[[np.ndarray], np.ndarray]) -> TimeField:
     """Divergence-free shear X = (0, g(x), 0, ...)."""
-    return TimeField(torus, _shear_evaluator(g, 1, 0), "conservative")
+    return TimeField(torus, _shear_evaluator((g, 1, 0)), "conservative")
 
 
 def standard_shear(torus: FlatTorus, steps: int, amplitude: float = 1.0) -> Isotopy:
@@ -73,7 +75,7 @@ def hamiltonian_shear_field(torus: FlatTorus, amplitude: float = 1.0) -> TimeFie
     def g(y: np.ndarray) -> np.ndarray:
         return -amplitude * np.sin(2.0 * np.pi * y)
 
-    return TimeField(torus, _shear_evaluator(g, 0, 1), "hamiltonian")
+    return TimeField(torus, _shear_evaluator((g, 0, 1)), "hamiltonian")
 
 
 def hamiltonian_shear(torus: FlatTorus, steps: int, amplitude: float = 1.0) -> Isotopy:

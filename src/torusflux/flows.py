@@ -94,7 +94,10 @@ class TimeField:
     ``evaluator`` receives points of shape (..., d) (arbitrary lifts) and
     must return vectors of the same shape, 1-periodically.  ``kind`` is one
     of conservative / symplectic / hamiltonian / harmonic / general and is
-    validated against grid samples on request.
+    validated against grid samples by :meth:`validate`.  A ``harmonic`` field
+    is spatially constant at every time (it may vary in time): :func:`flow`
+    relies on this, validates such a field and integrates only the orbit of
+    the origin.
     """
 
     torus: FlatTorus
@@ -157,7 +160,10 @@ class GridMap:
     """Torus diffeomorphism sampled on the grid as a lifted displacement.
 
     The image of the grid is ``grid + disp``, read exactly; off-grid points
-    go through a periodic cubic spline of ``disp``, built once per map.
+    go through a periodic cubic spline of ``disp``, built once per map.  A
+    map whose displacement is the same vector at every grid point (bit for
+    bit) is a translation: it is applied, composed as the outer map and
+    inverted exactly, with no spline, Jacobian or Newton step.
     """
 
     torus: FlatTorus
@@ -171,6 +177,16 @@ class GridMap:
         return cls(torus, np.zeros((torus.dim,) + torus.shape))
 
     @property
+    def _shift(self) -> np.ndarray | None:
+        """The displacement vector when every grid point has the same one."""
+        if "_shift_cache" not in self.__dict__:
+            flat = self.disp.reshape(self.torus.dim, -1)
+            first = flat[:, :1]
+            same = is_repeat(flat, np.broadcast_to(first, flat.shape))
+            self.__dict__["_shift_cache"] = first[:, 0].copy() if same else None
+        return self.__dict__["_shift_cache"]
+
+    @property
     def _interp(self) -> PeriodicInterp:
         cached = self.__dict__.get("_interp_cache")
         if cached is None:
@@ -181,6 +197,8 @@ class GridMap:
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Lifted image of points (..., d); equivariant under Z^d shifts."""
         points = np.asarray(points, dtype=float)
+        if self._shift is not None:
+            return points + self._shift
         return points + self._interp.at(points)
 
     def grid_image(self) -> np.ndarray:
@@ -215,11 +233,15 @@ class GridMap:
         The displacement of self is evaluated at the exact grid image of
         other.  The default trigonometric evaluation is free of spline
         error, which would otherwise dominate pullback identities checked at
-        1e-5; ``spectral=False`` uses the cached cubic spline of self.
+        1e-5; ``spectral=False`` uses the cached cubic spline of self.  A
+        translation self adds its vector to other's displacement.
         """
         from .torus import eval_spectral
 
-        if spectral:
+        shift = self._shift
+        if shift is not None:
+            vals = shift.reshape((-1,) + (1,) * self.torus.dim)
+        elif spectral:
             vals = eval_spectral(self.torus, self.disp, other.image_points())
             vals = vals.T.reshape((self.torus.dim,) + self.torus.shape)
         else:
@@ -238,25 +260,22 @@ class GridMap:
                 initial: np.ndarray | None = None) -> "GridMap":
         """Inverse map by damped Newton iteration.
 
-        Starts from the minimal-lift guess (or a supplied warm start, unless
-        the map is a translation) and backtracks when a full step does not reduce the residual.  Raises
-        :class:`InversionError` up front when the map folds over (see
+        A translation is inverted exactly, by negating its displacement.
+        Otherwise starts from the minimal-lift guess (or a supplied warm
+        start) and backtracks when a full step does not reduce the residual.
+        Raises :class:`InversionError` up front when the map folds over (see
         :meth:`check_unfolded`): Newton then still converges, to one of
         several preimages, so a small residual proves nothing.  Also raises
         when the residual stagnates or does not converge.  The spline of
         the Jacobian is built only when a Newton step is taken.
         """
+        if self._shift is not None:
+            return GridMap(self.torus, -self.disp)
         grid_jac = self.jacobian()
         self.check_unfolded(grid_jac)
         d = self.torus.dim
         y = self.torus.points
-        # the minimal-lift guess inverts a translation (Du = 0) exactly, where
-        # a warm start would cost a Newton step
-        eye = np.eye(d).reshape((d, d) + (1,) * d)
-        if initial is None or float(np.abs(grid_jac - eye).max()) <= tol:
-            x = y - self._interp.at(y)
-        else:
-            x = initial.copy()
+        x = y - self._interp.at(y) if initial is None else initial.copy()
         jac_interp = None
         step = y - x - self._interp.at(x)
         res = float(np.abs(step).max())
@@ -469,20 +488,29 @@ class Isotopy:
         return (3 * u[-1] + 10 * u[-2] - 18 * u[-3] + 6 * u[-4] - u[-5]) / (12 * dt)
 
 
-def flow(x_field: TimeField, steps: int, torus: FlatTorus | None = None) -> Isotopy:
+def flow(x_field: TimeField, steps: int) -> Isotopy:
     """Integrate a time-dependent field into an isotopy with lift tracking.
 
     Classical 4th-order one-step integration of every grid point over K
-    uniform steps on [0, 1]; the identity at t = 0 is exact.
+    uniform steps on [0, 1]; the identity at t = 0 is exact.  A field of
+    kind ``harmonic`` is validated (it must be spatially constant) and its
+    flow is a translation: the orbit of the origin is integrated once and
+    its lifted shift written to every grid point.
     """
-    torus = torus or x_field.torus
+    torus = x_field.torus
     if steps < 50:
         raise ValueError(f"steps must be >= 50, got {steps}")
-    traj = integrate_trajectories(x_field, torus.points, steps)
-    traj -= torus.points  # in place: no second (K+1, N^d, d) array
-    stack = np.moveaxis(traj, -1, 1).reshape(
-        (steps + 1, torus.dim) + torus.shape
-    )
+    if x_field.kind == "harmonic":
+        x_field.validate()
+        shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps)
+        stack = np.empty((steps + 1, torus.dim) + torus.shape)
+        stack[...] = shift.reshape((steps + 1, torus.dim) + (1,) * torus.dim)
+    else:
+        traj = integrate_trajectories(x_field, torus.points, steps)
+        traj -= torus.points  # in place: no second (K+1, N^d, d) array
+        stack = np.moveaxis(traj, -1, 1).reshape(
+            (steps + 1, torus.dim) + torus.shape
+        )
     stack[0] = 0.0
     times = np.linspace(0.0, 1.0, steps + 1)
     return Isotopy(torus, times, stack, kind=x_field.kind, provenance=x_field)
@@ -604,7 +632,8 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     so the chain follows the path continuously, and raises
     :class:`InversionError` when the slice folds over.  The forward slice's
     spline serves both the Newton solve and the displacement ``-u(pre)`` at
-    the preimages.
+    the preimages.  A translation slice is inverted exactly: its inverse
+    displacement is ``-disp[k]``.
     """
     torus = isotopy.torus
     stack = np.empty_like(isotopy.disp)
@@ -613,10 +642,14 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     for k in range(1, isotopy.steps + 1):
         fwd = GridMap(torus, isotopy.disp[k])
         try:
-            warm = fwd.inverse(initial=warm).image_points()
+            inv = fwd.inverse(initial=warm)
         except InversionError as exc:
             raise InversionError(f"time slice {k}: {exc}") from exc
-        stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
+        warm = inv.image_points()
+        if fwd._shift is not None:
+            stack[k] = inv.disp
+        else:
+            stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
     gen = None
     if torus.symplectic and (isotopy.gen is not None or isotopy.provenance is not None):
         gen = inverse_generator(isotopy)

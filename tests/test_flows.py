@@ -189,8 +189,7 @@ class TestInverse:
         assert len(builds) <= 3 * ham_shear.steps + 1
 
     def test_translation_slices_need_no_jacobian_spline(self, torus):
-        # the minimal-lift guess inverts a translation exactly, so no slice
-        # takes a Newton step, warm start or not
+        # every slice is a translation, inverted by negating its displacement
         from torusflux.torus import PeriodicInterp
 
         jacobian_builds = []
@@ -390,6 +389,33 @@ class TestRepeatedSlices:
         ref = flow(TimeField(torus, plain, "conservative"), 100)
         assert np.array_equal(iso.disp, ref.disp)
 
+    def test_product_shear_evaluates_each_profile_once(self):
+        from torusflux import FlatTorus
+        from torusflux.families import _shear_evaluator
+
+        torus4 = FlatTorus(4, 8, symplectic=True)
+        calls = []
+
+        def sine(y):
+            calls.append("sine")
+            return 0.7 * (1 + np.sin(2 * np.pi * y)) / 2
+
+        def cosine(y):
+            calls.append("cosine")
+            return 0.4 * (1 + np.cos(2 * np.pi * y)) / 2
+
+        def plain(t, p):
+            vec = np.zeros_like(p)
+            vec[..., 0] = 0.7 * (1 + np.sin(2 * np.pi * p[..., 1])) / 2
+            vec[..., 2] = 0.4 * (1 + np.cos(2 * np.pi * p[..., 3])) / 2
+            return vec
+
+        shear = _shear_evaluator((sine, 0, 1), (cosine, 2, 3))
+        iso = flow(TimeField(torus4, shear, "symplectic"), 50)
+        assert calls == ["sine", "cosine"]
+        ref = flow(TimeField(torus4, plain, "symplectic"), 50)
+        assert np.array_equal(iso.disp, ref.disp)
+
     def test_signed_zero_is_not_a_repeat(self):
         from torusflux.flows import is_repeat
 
@@ -464,3 +490,118 @@ class TestShortcuts:
         g = GridMap(t3, disp)
         lapack = np.linalg.det(np.moveaxis(g.jacobian(), (0, 1), (-2, -1)))
         assert np.array_equal(g.det_jacobian(), lapack)
+
+
+class TestExactTranslations:
+    """A harmonic flow is the origin's orbit broadcast to the grid, and a map
+    with one displacement vector is applied, composed and inverted exactly."""
+
+    @pytest.fixture()
+    def spy(self, monkeypatch):
+        """Counts spline builds, trigonometric evaluations and gradients."""
+        from torusflux import flows, torus as torus_mod
+        from torusflux.torus import PeriodicInterp
+
+        made = {"spline": 0, "eval_spectral": 0, "grad": 0}
+        init = PeriodicInterp.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made["spline"] += 1
+            init(self, *args, **kwargs)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                made[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PeriodicInterp, "__init__", counting_init)
+        monkeypatch.setattr(torus_mod, "eval_spectral",
+                            counted("eval_spectral", torus_mod.eval_spectral))
+        monkeypatch.setattr(flows, "grad", counted("grad", flows.grad))
+        return made
+
+    @staticmethod
+    def _shift_map(torus, vec):
+        return GridMap(torus, np.broadcast_to(
+            np.asarray(vec, dtype=float).reshape(2, 1, 1), (2,) + torus.shape).copy())
+
+    def test_harmonic_flow_integrates_one_point(self, torus):
+        from torusflux.flows import integrate_trajectories
+
+        def speed(t, points):
+            out = np.empty_like(points)
+            out[..., 0] = 0.4 * np.cos(2 * np.pi * t)
+            out[..., 1] = 0.1 + t
+            return out
+
+        sizes = []
+
+        def counted(t, points):
+            sizes.append(points.size // 2)
+            return speed(t, points)
+
+        iso = flow(TimeField(torus, counted, "harmonic"), 100)
+        # every other call is a grid sample of the harmonic guard
+        assert sizes.count(1) == 4 * 100
+        assert len(sizes) - sizes.count(1) <= 4
+        flat = iso.disp.reshape(101, 2, -1)
+        assert np.array_equal(flat, np.broadcast_to(flat[..., :1], flat.shape))
+        per_point = integrate_trajectories(
+            TimeField(torus, speed), torus.points, 100) - torus.points
+        per_point = np.moveaxis(per_point, -1, 1).reshape(iso.disp.shape)
+        assert np.abs(iso.disp - per_point).max() < 1e-13
+        assert iso.kind == "harmonic" and iso.provenance.evaluator is counted
+
+    def test_harmonic_tag_on_a_varying_field_raises(self, torus):
+        def shear(t, points):
+            out = np.zeros_like(points)
+            out[..., 0] = np.sin(2 * np.pi * points[..., 1])
+            return out
+
+        with pytest.raises(ValueError, match="not spatially constant"):
+            flow(TimeField(torus, shear, "harmonic"), 50)
+
+    @pytest.mark.parametrize("spectral", [True, False])
+    def test_translation_is_exact_without_splines(self, torus, shear, spy,
+                                                  spectral):
+        from torusflux.torus import PeriodicInterp, eval_spectral
+
+        vec = (0.3, -0.7)
+        shift = self._shift_map(torus, vec)
+        inner = shear.time_one()
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (500, 2))
+        applied = shift.apply(points)
+        composed = shift.compose(inner, spectral=spectral)
+        inverted = shift.inverse()
+        assert spy == {"spline": 0, "eval_spectral": 0, "grad": 0}
+        # the generic routes on the same data
+        assert np.array_equal(applied, points + np.array(vec))
+        spline = PeriodicInterp(torus, shift.disp)
+        assert np.abs(applied - (points + spline.at(points))).max() < 1e-15
+        generic = (eval_spectral(torus, shift.disp, inner.image_points()).T
+                   .reshape(shift.disp.shape) if spectral
+                   else inner.compose_field(spline))
+        assert np.abs(composed.disp - inner.disp - generic).max() < 1e-15
+        assert np.array_equal(inverted.disp, -shift.disp)
+        assert np.abs(shift.compose(inverted).disp).max() == 0.0
+
+    def test_one_ulp_off_takes_the_generic_route(self, torus, shear, spy):
+        # guard: exactness is read from the data, bit for bit
+        shift = self._shift_map(torus, (0.3, -0.7))
+        disp = shift.disp.copy()
+        disp[1, 5, 7] = np.nextafter(disp[1, 5, 7], 0.0)
+        near = GridMap(torus, disp)
+        near.apply(np.zeros((3, 2)))
+        assert spy["spline"] == 1
+        near.compose(shear.time_one())
+        assert spy["eval_spectral"] == 1
+        inv = near.inverse()
+        assert spy["grad"] == 2
+        assert np.abs(inv.disp + shift.disp).max() < 1e-15
+
+    def test_inverse_of_a_translation_loop_negates_it(self, trans_loop, spy):
+        inv = inverse(trans_loop)
+        assert spy["spline"] == 0
+        assert np.array_equal(inv.disp, -trans_loop.disp)
+        assert inv.gen is not None

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -218,3 +219,22 @@ class TestBench:
         assert all(set(pair) == {"parent", "change"} for pair in pairs)
         firsts = [first for first, _ in pairs]
         assert firsts == (["parent", "change"] * 5 + ["parent"]) * 2
+
+
+class TestRefinementStudy:
+    def test_smoke(self):
+        # the script draws random pairs, translations among them, at each
+        # resolution and prints one line per resolution
+        src = str(SCRIPTS.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "run_refinement_study.py"),
+             "--resolutions", "8", "16", "--pairs", "1", "--steps", "50"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["N =    8", "N =   16"]
+        residuals = [float(line.split("max residual ")[1].split()[0]) for line in lines]
+        assert all(np.isfinite(r) and r > 0 for r in residuals)
+        assert "drop" in lines[1]

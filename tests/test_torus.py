@@ -322,3 +322,31 @@ class TestSpectralEval:
             eval_spectral(torus, np.zeros((3, 8)), torus.points[:2])
         with pytest.raises(ValueError):
             eval_spectral(torus, np.zeros(torus.shape), np.zeros((2, 3)))
+
+
+class TestPeriodicInterp:
+    # lifts where a wrap could lose a sign bit or round up to 1.0
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1 - 2.0**-53, -(1 - 2.0**-53),
+             1.0, -1.0, -2.0, 1e-18, -1e-18]
+
+    def test_wrap_is_mod_one_bit_for_bit(self, torus, rng, monkeypatch):
+        # guard: at() wraps by x - floor(x), which must equal x % 1.0 in
+        # every bit, signed zeros included
+        from torusflux.torus import PeriodicInterp
+
+        lifts = np.concatenate([
+            self.EDGES, rng.uniform(-3.0, 3.0, 2000),
+            rng.uniform(-1e6, 1e6, 200), rng.uniform(-1e-18, 1e-18, 200),
+        ])
+        seen = []
+        real = torus_mod.ndimage.map_coordinates
+
+        def capture(coeffs, coords, **kwargs):
+            seen.append(np.array(coords))
+            return real(coeffs, coords, **kwargs)
+
+        monkeypatch.setattr(torus_mod.ndimage, "map_coordinates", capture)
+        points = np.stack([lifts, lifts[::-1]], axis=-1)
+        PeriodicInterp(torus, np.zeros(torus.shape)).at(points)
+        expected = np.moveaxis((points % 1.0) * torus.grid_res, -1, 0)
+        assert np.array_equal(seen[0].view(np.int64), expected.view(np.int64))
