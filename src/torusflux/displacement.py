@@ -89,15 +89,13 @@ def displacement(
     return DisplacementField(torus, p, split.potential - at_p, form)
 
 
-def displacement_geodesic_value(
-    psi: GridMap, form: OneForm, p, z, samples: int = 2049
-) -> float:
+def displacement_geodesic_value(psi: GridMap, form: OneForm, p, z) -> float:
     """Oracle for nu(z): quadrature of the difference form along the
-    minimal geodesic from p to z (independent of the Hodge route)."""
-    torus = psi.torus
+    minimal geodesic from p to z, sampled at 2049 points (independent of the
+    Hodge route)."""
     beta = pullback_difference(psi, form)
-    path = minimal_geodesic(np.asarray(p, float), np.asarray(z, float), samples)
-    return integrate_form_along_path(torus, beta, path)
+    path = minimal_geodesic(np.asarray(p, float), np.asarray(z, float), 2049)
+    return integrate_form_along_path(psi.torus, beta, path)
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +185,12 @@ def energy_via_isotopy(isotopy: Isotopy, coeffs, p) -> EnergyValue:
     norm = harmonic_norm(coeffs)
     if norm == 0.0:
         raise ValueError("energy requires a nonzero harmonic form")
-    torus = isotopy.torus
     e = energy(isotopy.time_one(), coeffs, p)
     fc = flux_class(isotopy)
     pairing = poincare_pair(coeffs, fc) / norm
     orbit = orbit_of(isotopy, np.asarray(p, dtype=float))
     orbit_integral = float(coeffs @ orbit.displacement)
-    orbit_term = torus.volume_scale * orbit_integral / norm
+    orbit_term = orbit_integral / norm
     return EnergyValue(e.value, coeffs, e.base, pairing, orbit_term)
 
 
@@ -222,7 +219,7 @@ class DefectReport:
 
 
 def composition_defect(psi_iso: Isotopy, phi_iso: Isotopy, coeffs, p) -> DefectReport:
-    """Defect ``|E(psi o phi) - E(psi) - E(phi)|`` against ``2 A(M)^2``.
+    """Defect ``|E(psi o phi) - E(psi) - E(phi)|`` against ``2 A(M)^2 = 2``.
 
     Also evaluates the exact composition law: the defect equals the scaled
     difference of the orbit integrals of H through p and through phi(p)
@@ -241,14 +238,12 @@ def composition_defect(psi_iso: Isotopy, phi_iso: Isotopy, coeffs, p) -> DefectR
     e_psi = energy(psi_map, coeffs, p).value
     e_phi = energy(phi_map, coeffs, p).value
     defect = abs(e_comp - e_psi - e_phi)
-    bound = 2.0 * torus.area**2
+    bound = 2.0
 
     orbit_p = orbit_of(psi_iso, p).displacement
     phi_p = (phi_map.apply(p[None, :])[0]) % 1.0
     orbit_phi_p = orbit_of(psi_iso, phi_p).displacement
-    correction = (
-        torus.volume_scale / norm * float(coeffs @ (orbit_p - orbit_phi_p))
-    )
+    correction = float(coeffs @ (orbit_p - orbit_phi_p)) / norm
     exact_residual = abs(e_comp - e_psi - e_phi - correction)
     return DefectReport(defect, bound, exact_residual)
 
@@ -263,7 +258,6 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
     """
     if power == 0:
         raise ValueError("iteration power must be nonzero")
-    torus = phi_iso.torus
     coeffs = np.asarray(coeffs, dtype=float)
     norm = harmonic_norm(coeffs)
     x = np.asarray(x, dtype=float)
@@ -284,7 +278,7 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
     for _ in range(m):
         total += float(coeffs @ orbit_of(base, point % 1.0).displacement)
         point = base_map.apply(point[None, :])[0]
-    rhs = power * e_one + torus.volume_scale / norm * (power * orbit_x - total)
+    rhs = power * e_one + (power * orbit_x - total) / norm
     return abs(lhs - rhs)
 
 
@@ -305,10 +299,9 @@ class ContinuityRow:
         return (not self.checked) or self.energy_gap <= self.bound
 
 
-def continuity_check(
-    maps: list[GridMap], psi: GridMap, coeffs, x, tol: float = 1e-9
-) -> list[ContinuityRow]:
-    """Energy continuity modulus ``|E(psi_i) - E(psi)| <= 2 Vol d_C0``.
+def continuity_check(maps: list[GridMap], psi: GridMap, coeffs, x) -> list[ContinuityRow]:
+    """Energy continuity modulus ``|E(psi_i) - E(psi)| <= 2 Vol d_C0``,
+    checked up to 1e-9.
 
     Entries with distance at or beyond the injectivity radius are skipped
     (reported unchecked) since the modulus is only derived inside it.
@@ -322,7 +315,7 @@ def continuity_check(
             rows.append(ContinuityRow(d, np.nan, np.nan, checked=False))
             continue
         gap = abs(energy(m, coeffs, x).value - base_val)
-        bound = 2.0 * torus.volume_scale * d + tol
+        bound = 2.0 * d + 1e-9
         rows.append(ContinuityRow(d, gap, bound, checked=True))
     return rows
 
@@ -344,15 +337,13 @@ class SeparationReport:
     margins: np.ndarray | None
 
 
-def separation_check(
-    phi_iso: Isotopy, flux_tol: float = 1e-9, samples: int = 64
-) -> SeparationReport:
+def separation_check(phi_iso: Isotopy, samples: int = 64) -> SeparationReport:
     torus = phi_iso.torus
     fc = flux_class(phi_iso)
-    if fc.norm() <= flux_tol:
+    if fc.norm() <= 1e-9:
         raise ValueError("separation check requires a nonzero flux class")
     ratio = float(np.abs(fc.pairings).max())  # coordinate basis, |dx_i| = 1
-    delta0 = min(torus.injectivity_radius, ratio / torus.volume_scale) / 8.0
+    delta0 = min(torus.injectivity_radius, ratio) / 8.0
     c0_gap = phi_iso.time_one().c0_distance()
     if c0_gap >= delta0:
         return SeparationReport(delta0, c0_gap, False, None, None)

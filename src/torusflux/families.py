@@ -85,21 +85,21 @@ def hamiltonian_shear(torus: FlatTorus, steps: int, amplitude: float = 1.0) -> I
 class TrigHamiltonian:
     """Low-mode trigonometric Hamiltonian with analytic gradient.
 
-    H(x) = sum over drawn modes of a * sin(2 pi (m . x) + phase); the field
-    is the symplectic rotation of dH, divergence free by construction.
+    H(x) = sum over three drawn modes of a * sin(2 pi (m . x) + phase); the
+    field is the symplectic rotation of dH, divergence free by construction.
     """
 
     def __init__(self, torus: FlatTorus, rng: np.random.Generator,
-                 n_modes: int = 3, amplitude: float = 0.15):
+                 amplitude: float = 0.15):
         self.torus = torus
         d = torus.dim
-        self.modes = rng.integers(-2, 3, size=(n_modes, d)).astype(float)
+        self.modes = rng.integers(-2, 3, size=(3, d)).astype(float)
         bad = ~np.any(self.modes, axis=1)
         self.modes[bad, 0] = 1.0
         # normalize by mode frequency so the field speed is ~amplitude
-        scale = 2.0 * np.pi * np.linalg.norm(self.modes, axis=1) * n_modes
-        self.amps = amplitude * rng.uniform(0.3, 1.0, size=n_modes) / scale
-        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+        scale = 2.0 * np.pi * np.linalg.norm(self.modes, axis=1) * 3
+        self.amps = amplitude * rng.uniform(0.3, 1.0, size=3) / scale
+        self.phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
 
     def value(self, points: np.ndarray) -> np.ndarray:
         phase = 2.0 * np.pi * points @ self.modes.T + self.phases
@@ -148,17 +148,16 @@ def translation_loop(torus: FlatTorus, steps: int, winding=(1, 0)) -> Isotopy:
 
 
 def wiggled_translation_loop(
-    torus: FlatTorus, steps: int, eps: float = 0.02,
-    rng: np.random.Generator | None = None,
+    torus: FlatTorus, steps: int, rng: np.random.Generator | None = None
 ) -> Isotopy:
-    """Translation loop perturbed by an eps-size Hamiltonian flow.
+    """Translation loop perturbed by a Hamiltonian flow of amplitude 0.02.
 
-    The time-one map is eps-close to the identity but every orbit winds once
-    around the first coordinate, so no orbit is a minimal geodesic between
-    its endpoints.
+    The time-one map is 0.02-close to the identity but every orbit winds
+    once around the first coordinate, so no orbit is a minimal geodesic
+    between its endpoints.
     """
     rng = rng or np.random.default_rng(11)
-    ham = TrigHamiltonian(torus, rng, amplitude=eps)
+    ham = TrigHamiltonian(torus, rng, amplitude=0.02)
     base = ham.field()
 
     def evaluator(t: float, points: np.ndarray) -> np.ndarray:

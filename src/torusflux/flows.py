@@ -112,21 +112,29 @@ class TimeField:
         vals = self.evaluator(t, self.torus.points)
         return vals.T.reshape((self.torus.dim,) + self.torus.shape)
 
-    def divergence_residual(self, times=(0.0, 0.5, 1.0)) -> float:
+    def divergence_residual(self) -> float:
         return max(
-            float(np.abs(divergence(self.torus, self.sample(t))).max()) for t in times
+            float(np.abs(divergence(self.torus, self.sample(t))).max())
+            for t in (0.0, 0.5, 1.0)
         )
 
-    def validate(self, tol: float | None = None) -> None:
-        tol = flow_tolerance(self.torus.grid_res, 10.0) if tol is None else tol
-        if self.kind in ("conservative", "symplectic", "hamiltonian", "harmonic"):
+    def validate(self) -> None:
+        """Check the kind tag on grid samples at t = 0, 1/2 and 1.
+
+        A ``harmonic`` field must be spatially constant at each of them (a
+        constant field has no divergence); the other divergence-free kinds
+        must have divergence within tolerance.
+        """
+        tol = flow_tolerance(self.torus.grid_res, 10.0)
+        if self.kind == "harmonic":
+            for t in (0.0, 0.5, 1.0):
+                s = self.sample(t).reshape(self.torus.dim, -1)
+                if float(np.abs(s - s.mean(axis=1, keepdims=True)).max()) > tol:
+                    raise ValueError("field tagged harmonic is not spatially constant")
+        elif self.kind in ("conservative", "symplectic", "hamiltonian"):
             r = self.divergence_residual()
             if r > tol:
                 raise ValueError(f"field tagged {self.kind} has divergence {r:.3e}")
-        if self.kind == "harmonic":
-            s = self.sample(0.5).reshape(self.torus.dim, -1)
-            if float(np.abs(s - s.mean(axis=1, keepdims=True)).max()) > tol:
-                raise ValueError("field tagged harmonic is not spatially constant")
 
 
 def constant_field(torus: FlatTorus, velocity) -> TimeField:
@@ -256,8 +264,7 @@ class GridMap:
             out = self.compose(out)
         return out
 
-    def inverse(self, tol: float = 1e-12, maxiter: int = 60,
-                initial: np.ndarray | None = None) -> "GridMap":
+    def inverse(self, initial: np.ndarray | None = None) -> "GridMap":
         """Inverse map by damped Newton iteration.
 
         A translation is inverted exactly, by negating its displacement.
@@ -266,8 +273,9 @@ class GridMap:
         Raises :class:`InversionError` up front when the map folds over (see
         :meth:`check_unfolded`): Newton then still converges, to one of
         several preimages, so a small residual proves nothing.  Also raises
-        when the residual stagnates or does not converge.  The spline of
-        the Jacobian is built only when a Newton step is taken.
+        when the residual stagnates or is still above 1e-12 after 60
+        iterations.  The spline of the Jacobian is built only when a Newton
+        step is taken.
         """
         if self._shift is not None:
             return GridMap(self.torus, -self.disp)
@@ -279,8 +287,8 @@ class GridMap:
         jac_interp = None
         step = y - x - self._interp.at(x)
         res = float(np.abs(step).max())
-        for _ in range(maxiter):
-            if res <= tol:
+        for _ in range(60):
+            if res <= 1e-12:
                 break
             if jac_interp is None:
                 jac_interp = PeriodicInterp(
@@ -516,16 +524,14 @@ def flow(x_field: TimeField, steps: int) -> Isotopy:
     return Isotopy(torus, times, stack, kind=x_field.kind, provenance=x_field)
 
 
-def integrate_trajectories(
-    x_field: TimeField, points: np.ndarray, steps: int, t0: float = 0.0, t1: float = 1.0
-) -> np.ndarray:
-    """RK4 trajectories of a point set, shape (K+1, ..., d), lifted."""
+def integrate_trajectories(x_field: TimeField, points: np.ndarray, steps: int) -> np.ndarray:
+    """RK4 trajectories of a point set over [0, 1], shape (K+1, ..., d), lifted."""
     p = np.array(points, dtype=float)
     out = np.empty((steps + 1,) + p.shape)
     out[0] = p
-    dt = (t1 - t0) / steps
+    dt = 1.0 / steps
     for k in range(steps):
-        t = t0 + k * dt
+        t = k * dt
         k1 = x_field(t, p)
         k2 = x_field(t + dt / 2, p + (dt / 2) * k1)
         k3 = x_field(t + dt / 2, p + (dt / 2) * k2)
@@ -557,21 +563,19 @@ def velocity(isotopy: Isotopy, t: float) -> np.ndarray:
     return isotopy.map_at(isotopy.times[k]).inverse().compose_field(w)
 
 
-def generator_of(isotopy: Isotopy, from_data: bool = False) -> GeneratorPair:
+def generator_of(isotopy: Isotopy) -> GeneratorPair:
     """Generator pair (U, H) of a symplectic isotopy.
 
     Prefers an exact trace attached at construction, then the provenance
-    field, then the honest finite-difference route (``from_data`` forces the
-    latter).
+    field, then the honest finite-difference route.
     """
     torus = isotopy.torus
     if not torus.symplectic:
         raise ValueError("generator extraction requires a symplectic torus")
-    if not from_data:
-        if isotopy.gen is not None:
-            return isotopy.gen
-        if isotopy.provenance is not None:
-            return _generator_from_field(isotopy)
+    if isotopy.gen is not None:
+        return isotopy.gen
+    if isotopy.provenance is not None:
+        return _generator_from_field(isotopy)
     k1 = isotopy.steps + 1
     U = np.empty((k1,) + torus.shape)
     H = np.empty((k1, torus.dim))
@@ -736,9 +740,7 @@ class ConservativityReport:
         return max(self.max_det_residual, self.max_div_residual) <= self.tolerance
 
 
-def verify_conservative(
-    isotopy: Isotopy, tol: float | None = None, nt: int = 9
-) -> ConservativityReport:
+def verify_conservative(isotopy: Isotopy, nt: int = 9) -> ConservativityReport:
     """Check ``|det D(phi_t) - 1|`` and closedness of ``i(velocity)Omega``.
 
     On the torus the second residual is the sup of the divergence of the
@@ -746,7 +748,6 @@ def verify_conservative(
     no provenance field is attached (the data route needs map inversions).
     """
     torus = isotopy.torus
-    tol = flow_tolerance(torus.grid_res, 100.0) if tol is None else tol
     ks = np.unique(np.linspace(0, isotopy.steps, nt).astype(int))
     det_res = 0.0
     for k in ks:
@@ -759,7 +760,7 @@ def verify_conservative(
         else:
             x_samples = velocity(isotopy, isotopy.times[k])
         div_res = max(div_res, float(np.abs(divergence(torus, x_samples)).max()))
-    return ConservativityReport(det_res, div_res, tol)
+    return ConservativityReport(det_res, div_res, flow_tolerance(torus.grid_res, 100.0))
 
 
 # ---------------------------------------------------------------------------

@@ -133,8 +133,7 @@ def flux_class(isotopy: Isotopy) -> FluxClass:
     :func:`~torusflux.flows.verify_conservative` measures it.
     """
     torus = isotopy.torus
-    pairings = isotopy.disp[-1].reshape(torus.dim, -1).mean(axis=1) * torus.volume_scale
-    return FluxClass(pairings)
+    return FluxClass(isotopy.disp[-1].reshape(torus.dim, -1).mean(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +141,18 @@ def flux_class(isotopy: Isotopy) -> FluxClass:
 # ---------------------------------------------------------------------------
 
 
-def cocycle_residual(
-    phi: Isotopy,
-    psi: Isotopy,
-    form: OneForm,
-    time_samples: int = 21,
-) -> float:
+def cocycle_residual(phi: Isotopy, psi: Isotopy, form: OneForm) -> float:
     """Max deviation from the composition rule of flux functions.
 
-    Checks ``F(phi o psi)(t) = F(psi)(t) + F(phi)(t) o psi_t`` over sampled
-    times and all grid points, where ``phi o psi`` is the pointwise
+    Checks ``F(phi o psi)(t) = F(psi)(t) + F(phi)(t) o psi_t`` over 21
+    sampled times and all grid points, where ``phi o psi`` is the pointwise
     composition ``t -> phi_t o psi_t`` (built slice by slice at the sampled
     times only).
     """
     if phi.steps != psi.steps:
         raise ValueError("isotopies must share a time grid")
     torus = phi.torus
-    ks = np.unique(np.linspace(0, phi.steps, time_samples).astype(int))
+    ks = np.unique(np.linspace(0, phi.steps, 21).astype(int))
     worst = 0.0
     pot = form.potential if np.any(form.potential) else None
     pot_interp = PeriodicInterp(torus, pot) if pot is not None else None
@@ -197,10 +191,7 @@ def factorization1_check(
     for t in ts:
         form = form_of_t(t)
         lhs = integrate(torus, flux_function(form, isotopy, t))
-        partial_pairings = (
-            isotopy.disp_at(float(t)).reshape(torus.dim, -1).mean(axis=1)
-            * torus.volume_scale
-        )
+        partial_pairings = isotopy.disp_at(float(t)).reshape(torus.dim, -1).mean(axis=1)
         rhs = poincare_pair(form.harmonic, partial_pairings)
         out.append((float(t), float(lhs), float(rhs), abs(float(lhs) - float(rhs))))
     return out
@@ -305,23 +296,20 @@ def factorization2_check(isotopy: Isotopy, time_samples: int | None = None) -> F
 
 
 def loop_orbit_constancy(
-    isotopy: Isotopy,
-    form: OneForm,
-    sample_points: np.ndarray | None = None,
-    loop_tol: float = 1e-6,
+    isotopy: Isotopy, form: OneForm, sample_points: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Constancy of orbit integrals of a closed form along a loop.
 
-    Requires the time-one map to be the identity.  Returns the predicted
-    value ``< class(alpha), flux > / Vol`` and the max deviation of the
+    Requires the time-one map to be the identity (within 1e-6).  Returns the
+    predicted value ``< class(alpha), flux >`` and the max deviation of the
     orbit integrals from it over the sample points.
     """
     torus = isotopy.torus
     end = GridMap(torus, isotopy.disp[-1])
-    if end.c0_distance() > loop_tol:
+    if end.c0_distance() > 1e-6:
         raise ValueError("isotopy is not a loop at the identity")
     fc = flux_class(isotopy)
-    value = poincare_pair(form.harmonic, fc) / torus.volume_scale
+    value = poincare_pair(form.harmonic, fc)
     if sample_points is None:
         pts = torus.points[:: max(1, torus.points.shape[0] // 64)]
     else:
@@ -351,9 +339,7 @@ class OrbitFluxVerdict:
         return self.fluxes_equal if self.contractible else True
 
 
-def flux_equality_via_orbits(
-    phi: Isotopy, psi: Isotopy, z0, tol: float | None = None
-) -> OrbitFluxVerdict:
+def flux_equality_via_orbits(phi: Isotopy, psi: Isotopy, z0) -> OrbitFluxVerdict:
     """Equal endpoints + contractible difference cycle => equal fluxes.
 
     The difference 1-cycle of the two orbits through z0 is contractible on
@@ -361,7 +347,6 @@ def flux_equality_via_orbits(
     must agree within tolerance.
     """
     torus = phi.torus
-    tol = flow_tolerance(torus.grid_res, 10.0) if tol is None else tol
     z0 = np.asarray(z0, dtype=float)
     end_gap = torus_distance(
         GridMap(torus, phi.disp[-1]).apply(z0),
@@ -383,7 +368,7 @@ def flux_equality_via_orbits(
         contractible=not np.any(winding),
         flux_phi=flux_class(phi).pairings,
         flux_psi=flux_class(psi).pairings,
-        tolerance=tol,
+        tolerance=flow_tolerance(torus.grid_res, 10.0),
     )
 
 
@@ -404,30 +389,26 @@ class OrderCycleReport:
         return zero_winding == zero_flux
 
 
-def order_cycle_test(
-    phi: Isotopy, order: int, x=None, tol: float = 1e-6
-) -> OrderCycleReport:
+def order_cycle_test(phi: Isotopy, order: int) -> OrderCycleReport:
     """Flux of a path to a finite-order map from the winding of its cycle.
 
     If the time-one map has order r, iterating the path r times closes every
     orbit into a cycle; the flux pairings must equal winding / r, and the
-    flux vanishes iff the cycle is contractible.
+    flux vanishes iff the cycle is contractible.  The cycle is the orbit of
+    the origin.
     """
     from .paths import iterate
 
     torus = phi.torus
     end = GridMap(torus, phi.disp[-1])
-    if end.power(order).c0_distance() > tol:
-        raise ValueError(f"time-one map is not of order {order} within {tol}")
-    x = np.asarray(
-        x if x is not None else np.zeros(torus.dim), dtype=float
-    )
+    if end.power(order).c0_distance() > 1e-6:
+        raise ValueError(f"time-one map is not of order {order} within 1e-06")
     loop = iterate(phi, order)
-    cycle = orbit_of(loop, x, reintegrate=False)
+    cycle = orbit_of(loop, np.zeros(torus.dim), reintegrate=False)
     winding = cycle.winding(tol=1e-5)
     fc = flux_class(phi).pairings
     relation = float(np.abs(fc - winding / order).max())
-    return OrderCycleReport(order, winding, fc, relation, tol)
+    return OrderCycleReport(order, winding, fc, relation, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -448,7 +429,6 @@ def rigidity_experiment(
     sequence: list[Isotopy],
     limit_loop: Isotopy,
     sample_points: np.ndarray | None = None,
-    flux_tol: float = 1e-6,
 ) -> RigidityReport:
     """Orbits of a uniform limit of vanishing-flux isotopies are contractible.
 
@@ -465,7 +445,7 @@ def rigidity_experiment(
     )
     distances = np.array([c0_distance(m, limit_loop) for m in sequence])
     decreasing = len(sequence) < 2 or distances[-1] <= distances[0] + 1e-12
-    hypothesis_ok = bool(np.all(flux_norms <= flux_tol) and decreasing)
+    hypothesis_ok = bool(np.all(flux_norms <= 1e-6) and decreasing)
     if not hypothesis_ok:
         return RigidityReport(False, flux_norms, distances, None)
     if sample_points is None:

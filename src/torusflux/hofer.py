@@ -48,6 +48,9 @@ from .flows import (
 from .flux import flux_class
 from .torus import FlatTorus, InversionError, harmonic_norm, hodge_decompose, osc
 
+# largest C0 gap at which a candidate path counts as reaching the target map
+MATCH_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # lengths
@@ -145,7 +148,7 @@ class HodgeSplit:
     harmonic_consistency: float
 
 
-def hodge_split_isotopy(isotopy: Isotopy, tol: float = 1e-3) -> HodgeSplit:
+def hodge_split_isotopy(isotopy: Isotopy) -> HodgeSplit:
     """Split off the translation path of the harmonic generator part.
 
     For volume-preserving paths the translation shift of the harmonic part
@@ -154,7 +157,8 @@ def hodge_split_isotopy(isotopy: Isotopy, tol: float = 1e-3) -> HodgeSplit:
     no quadrature.  The remainder ``rho_t^{-1} o phi_t`` is the displacement
     minus that shift; its flux class vanishes by construction and its
     generator has no harmonic part.  ``harmonic_consistency`` reports the
-    gap between the differenced shift and the generator's harmonic trace.
+    gap between the differenced shift and the generator's harmonic trace;
+    a gap above 1e-3 raises.
     """
     torus = isotopy.torus
     gen = generator_of(isotopy)
@@ -186,7 +190,7 @@ def hodge_split_isotopy(isotopy: Isotopy, tol: float = 1e-3) -> HodgeSplit:
         rotate_coeffs_to_field(gen.H.T).T, x=gen.times, axis=0, initial=0.0
     )
     consistency = float(np.abs(shift - expected).max())
-    if consistency > tol:
+    if consistency > 1e-3:
         raise ValueError(
             f"harmonic trace and mean displacement disagree ({consistency:.3e})"
         )
@@ -217,17 +221,18 @@ class DeformationFamily:
         lhs = self.sup_v_b / (1.0 + self.sup_v_b)
         return 6.0 * self.sup_x_b - lhs
 
-    def oscillation_bound_rows(self, n: int = 5) -> list[tuple[float, float, float]]:
-        """(u, osc value, bound) rows for the companion oscillation bound.
+    def oscillation_bound_rows(self) -> list[tuple[float, float, float]]:
+        """(u, osc value, bound) rows for the companion oscillation bound,
+        on 5 x 5 sampled (s, t) pairs.
 
         The integrand ``omega(Z, V)`` is spatially constant for harmonic
         (translation) fields, so the oscillation side vanishes identically;
         the rows keep the computed values for the record.
         """
         rows = []
-        idx = np.linspace(0, len(self.s_grid) - 1, n).astype(int)
+        idx = np.linspace(0, len(self.s_grid) - 1, 5).astype(int)
         bound = 6.0 * self.sup_v_b * self.sup_x_b
-        for j in np.linspace(0, len(self.t_grid) - 1, n).astype(int):
+        for j in np.linspace(0, len(self.t_grid) - 1, 5).astype(int):
             z = self.z_field[:, j, :]
             v = self.v_field[:, j, :]
             pairing = _omega_pairing(z, v)
@@ -250,19 +255,18 @@ def mcduff_deformation(
     coeffs_of_t: Callable[[float], np.ndarray],
     s_res: int = 64,
     t_res: int = 64,
-    mean_tol: float = 1e-8,
 ) -> DeformationFamily:
     """Deformation family of a harmonic family with zero mean flux.
 
     Builds ``Z_{s,t} = t X_{st} - 2 s int_0^t X`` on a dense (s, t) grid,
     integrates it in s into translation vectors G, and differences in t for
-    V.  Raises when the mean-flux hypothesis fails.
+    V.  Raises when the mean-flux hypothesis fails (mean flux above 1e-8).
     """
     t_grid = np.linspace(0.0, 1.0, t_res + 1)
     s_grid = np.linspace(0.0, 1.0, s_res + 1)
     coeffs = np.stack([np.asarray(coeffs_of_t(t), dtype=float) for t in t_grid])
     mean_flux = cumulative_simpson(coeffs, x=t_grid, axis=0, initial=0.0)[-1]
-    if float(np.abs(mean_flux).max()) > mean_tol:
+    if float(np.abs(mean_flux).max()) > 1e-8:
         raise ValueError(
             f"harmonic family has nonzero mean flux {mean_flux}"
         )
@@ -309,9 +313,7 @@ class FgeoReport:
     endpoint_gap: float
 
 
-def fgeo_deformation(
-    isotopy: Isotopy, flux_tol: float | None = None
-) -> tuple[Isotopy, FgeoReport]:
+def fgeo_deformation(isotopy: Isotopy) -> tuple[Isotopy, FgeoReport]:
     """Deform a zero-flux symplectic path into a Hamiltonian one.
 
     The harmonic part rho of the Hodge split is post-composed with the s=1
@@ -322,9 +324,8 @@ def fgeo_deformation(
     the endpoint gap.
     """
     torus = isotopy.torus
-    tol = flow_tolerance(torus.grid_res, 10.0) if flux_tol is None else flux_tol
     fc = flux_class(isotopy)
-    if fc.norm() > tol:
+    if fc.norm() > flow_tolerance(torus.grid_res, 10.0):
         raise ValueError(f"nonzero flux {fc.pairings}; cannot straighten")
     # theta^t_1 undoes the translation rho_t exactly, so theta o phi is the remainder
     out = hodge_split_isotopy(isotopy).remainder
@@ -380,14 +381,14 @@ def iteration_growth_check(isotopy: Isotopy, max_power: int = 10) -> GrowthRepor
     if fc.norm() <= 1e-12:
         raise ValueError("iteration growth requires a nonzero flux class")
     torus = isotopy.torus
-    k0 = float(np.abs(fc.pairings).max()) / torus.volume_scale
+    k0 = float(np.abs(fc.pairings).max())
     base = lengths(isotopy)
     psi = isotopy.time_one()
     rows = []
     anchors = torus.points.copy()
     for power in range(1, max_power + 1):
         anchors = psi.apply(anchors)  # lifted chain, power applications
-        pairings = (anchors - torus.points).mean(axis=0) * torus.volume_scale
+        pairings = (anchors - torus.points).mean(axis=0)
         lin_res = float(np.abs(pairings - power * fc.pairings).max())
         # affine per-bin reparametrization scales the trace by the power
         lb = power * base.l1_length
@@ -412,19 +413,17 @@ class EnergySurrogate:
 
 
 def energy_surrogate(
-    target: GridMap,
-    candidates: Sequence[tuple[str, Isotopy]],
-    match_tol: float = 1e-6,
+    target: GridMap, candidates: Sequence[tuple[str, Isotopy]]
 ) -> EnergySurrogate:
     """Family minimum of l_B and l_B_inf over isotopies reaching the target.
 
-    Candidates whose time-one map misses the target beyond tolerance are
+    Candidates whose time-one map misses the target beyond MATCH_TOL are
     rejected; an empty family is an error.
     """
     kept: list[tuple[str, Isotopy]] = []
     for label, iso in candidates:
         gap = iso.time_one().c0_distance(target)
-        if gap <= match_tol:
+        if gap <= MATCH_TOL:
             kept.append((label, iso))
     if not kept:
         raise ValueError("no candidate isotopy reaches the target map")
@@ -440,28 +439,25 @@ def energy_invariance_check(
     target: GridMap,
     candidates: Sequence[tuple[str, Isotopy]],
     loops: Sequence[tuple[str, Isotopy]],
-    match_tol: float = 1e-6,
-    steps: int = 1600,
 ) -> float:
     """Loop-concatenation invariance of the surrogate energy.
 
     Concatenating candidates with flux-matching loops (the trivial loop
     included) must not change the family minimum beyond quadrature noise,
-    both families being upper bounds of the same infimum.  ``steps`` sets
-    the concatenation time resolution; the default resolves the cutoff
-    layers to below 1e-9.
+    both families being upper bounds of the same infimum.  The concatenations
+    take 1600 time steps, which resolves the cutoff layers to below 1e-9.
     """
     from .paths import concat_left
 
-    plain = energy_surrogate(target, candidates, match_tol)
+    plain = energy_surrogate(target, candidates)
     concatenated = []
     for c_label, iso in candidates:
         for l_label, loop in loops:
             concatenated.append(
                 (f"{c_label}*{l_label}",
-                 concat_left(loop, iso, steps=steps, with_generator=True))
+                 concat_left(loop, iso, steps=1600, with_generator=True))
             )
-    looped = energy_surrogate(target, concatenated, match_tol)
+    looped = energy_surrogate(target, concatenated)
     return abs(plain.e0 - looped.e0)
 
 
@@ -494,23 +490,22 @@ class NormComparisonReport:
 def norm_comparison_check(
     target: GridMap,
     hamiltonian_paths: Sequence[tuple[str, Isotopy]],
-    eps: float = 1e-3,
     fluxed_path: Isotopy | None = None,
     matching_loop: Isotopy | None = None,
-    match_tol: float = 1e-6,
 ) -> NormComparisonReport:
     """Compare the Hofer norm surrogate with the Hofer-like energy bounds.
 
     The zero-flux branch splits the best Hamiltonian path; when a path with
     nonzero flux and a flux-matching loop are supplied, the loop-corrected
     branch is checked with its constant 72/5, and the combined 12^2/5 bound
-    against the symmetrized Hofer-like norm runs on all candidates.
+    against the symmetrized Hofer-like norm runs on all candidates.  Each
+    margin grants the surrogate a slack of 1e-3.
     """
     from .paths import concat_left
 
     zero_flux: list[tuple[str, Isotopy]] = []
     for label, iso in hamiltonian_paths:
-        if iso.time_one().c0_distance(target) > match_tol:
+        if iso.time_one().c0_distance(target) > MATCH_TOL:
             continue
         if flux_class(iso).norm() > 1e-6:
             raise ValueError(f"candidate {label} is not a zero-flux path")
@@ -527,14 +522,14 @@ def norm_comparison_check(
 
     def branch_lhs(path: Isotopy) -> float:
         split = hodge_split_isotopy(path)
-        rho_norm = 0.0 if split.harmonic_path.time_one().c0_distance() <= match_tol \
+        rho_norm = 0.0 if split.harmonic_path.time_one().c0_distance() <= MATCH_TOL \
             else lengths(split.harmonic_path).hofer_l1
         psi_norm = lengths(split.remainder).hofer_l1
         return (hofer_surrogate + rho_norm * psi_norm) / (1.0 + rho_norm)
 
     best = min(zip(zero_flux, reports), key=lambda zr: zr[1].linf_length)[0][1]
     lhs_a = branch_lhs(best)
-    margin_six = 6.0 * e0_inf + eps - lhs_a
+    margin_six = 6.0 * e0_inf + 1e-3 - lhs_a
 
     lhs_b = None
     margin_72_5 = None
@@ -553,18 +548,18 @@ def norm_comparison_check(
             inverse(matching_loop), fluxed_path, with_generator=True,
             steps=max(600, fluxed_path.steps + matching_loop.steps),
         )
-        if corrected.time_one().c0_distance(target) > match_tol:
+        if corrected.time_one().c0_distance(target) > MATCH_TOL:
             raise ValueError("loop-corrected path misses the target map")
         corr_report = lengths(corrected)
         lhs_b = branch_lhs(corrected)
         e0_inf_b = min(e0_inf, corr_report.linf_length)
-        margin_72_5 = (72.0 / 5.0) * e0_inf_b + eps - lhs_b
+        margin_72_5 = (72.0 / 5.0) * e0_inf_b + 1e-3 - lhs_b
         e0_list.append(corr_report.l1_length)
         e0_inv_list.append(inverse_lengths(corrected).l1_length)
 
     norm_hl = 0.5 * (min(e0_list) + min(e0_inv_list))
     lhs_worst = max(lhs_a, lhs_b) if lhs_b is not None else lhs_a
-    margin_144_5 = (144.0 / 5.0) * norm_hl + eps - lhs_worst
+    margin_144_5 = (144.0 / 5.0) * norm_hl + 1e-3 - lhs_worst
     return NormComparisonReport(
         lhs_zero_flux=lhs_a,
         lhs_corrected=lhs_b,

@@ -38,7 +38,6 @@ def save_isotopy(isotopy: Isotopy, path: str | Path) -> None:
         "format_version": FORMAT_VERSION,
         "dim": isotopy.torus.dim,
         "resolution": isotopy.torus.grid_res,
-        "volume_scale": isotopy.torus.volume_scale,
         "symplectic": isotopy.torus.symplectic,
         "kind": isotopy.kind,
     }
@@ -74,8 +73,9 @@ def resample_grid(samples: np.ndarray, dim: int, new_res: int) -> np.ndarray:
 def load_isotopy(path: str | Path, resolution: int | None = None) -> Isotopy:
     """Load an isotopy container; optionally resample to a new resolution.
 
-    Raises :class:`SerializationError` on corrupt payloads or version
-    mismatch.  Cross-resolution loads log the round-trip interpolation error
+    Raises :class:`SerializationError` on corrupt payloads, version
+    mismatch or a recorded ``volume_scale`` other than 1 (the torus has unit
+    volume).  Cross-resolution loads log the round-trip interpolation error
     of the resampling.
     """
     path = Path(path)
@@ -99,6 +99,11 @@ def load_isotopy(path: str | Path, resolution: int | None = None) -> Isotopy:
             f"unsupported container version {version} (supported: "
             f"{', '.join(map(str, READABLE_VERSIONS))})"
         )
+    if meta.get("volume_scale", 1.0) != 1.0:
+        raise SerializationError(
+            f"unsupported volume_scale {meta['volume_scale']!r} in {path} "
+            "(the torus has unit volume)"
+        )
     dim = int(meta["dim"])
     res = int(meta["resolution"])
     if disp.shape != (len(times), dim) + (res,) * dim:
@@ -121,11 +126,7 @@ def load_isotopy(path: str | Path, resolution: int | None = None) -> Isotopy:
         if gen is not None:
             gen[1] = resample_grid(gen[1], dim, resolution)
         res = resolution
-    torus = FlatTorus(
-        dim, res,
-        volume_scale=float(meta.get("volume_scale", 1.0)),
-        symplectic=bool(meta.get("symplectic", False)),
-    )
+    torus = FlatTorus(dim, res, symplectic=bool(meta.get("symplectic", False)))
     return Isotopy(
         torus, times, disp, kind=str(meta.get("kind", "general")),
         gen=None if gen is None else GeneratorPair(*gen),

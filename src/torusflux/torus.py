@@ -1,7 +1,7 @@
 """Discretized flat torus T^d = R^d/Z^d with spectral calculus.
 
-The torus carries the standard volume form (total volume 1 by default) and,
-in even dimension, the standard symplectic form
+The torus carries the standard volume form, of total volume 1, and in even
+dimension the standard symplectic form
 ``omega = dx_1 ^ dx_2 + dx_3 ^ dx_4 + ...``.  All functions and form
 components are sampled on a uniform N^d grid; scalar fields are plain
 ``(N,)*d`` arrays indexed by grid multi-index, vector-valued fields carry the
@@ -57,15 +57,12 @@ class FlatTorus:
         Dimension d >= 2.
     grid_res:
         Points per axis, N >= 8 and even (FFT friendly).
-    volume_scale:
-        Total volume; the standard orientation form gives 1.
     symplectic:
         Whether the torus carries the standard symplectic form (even d only).
     """
 
     dim: int
     grid_res: int
-    volume_scale: float = 1.0
     symplectic: bool = False
 
     def __post_init__(self) -> None:
@@ -87,11 +84,6 @@ class FlatTorus:
     @property
     def injectivity_radius(self) -> float:
         return 0.5
-
-    @property
-    def area(self) -> float:
-        """Symplectic area; on surfaces it equals the volume."""
-        return self.volume_scale
 
     @cached_property
     def axis(self) -> np.ndarray:
@@ -145,7 +137,7 @@ def integrate(torus: FlatTorus, f: np.ndarray) -> float:
     spectrally accurate for smooth periodic integrands.
     """
     f = torus.check_scalar(f)
-    return float(f.mean() * torus.volume_scale)
+    return float(f.mean())
 
 
 def osc(f: np.ndarray) -> float:
@@ -381,7 +373,7 @@ class FluxClass:
         return float(np.abs(self.pairings).max())
 
 
-def hodge_decompose(torus: FlatTorus, beta: np.ndarray, tol: float = 1e-8) -> OneForm:
+def hodge_decompose(torus: FlatTorus, beta: np.ndarray) -> OneForm:
     """Split sampled 1-form components into harmonic + exact (+ coexact).
 
     Harmonic coefficients are the componentwise grid means; the potential is
@@ -394,14 +386,14 @@ def hodge_decompose(torus: FlatTorus, beta: np.ndarray, tol: float = 1e-8) -> On
     centered = beta - coeffs.reshape((-1,) + (1,) * torus.dim)
     potential = solve_poisson(torus, divergence(torus, centered))
     residual = centered - grad(torus, potential)
-    if float(np.abs(residual).max()) <= tol:
+    if float(np.abs(residual).max()) <= 1e-8:
         residual_field = None
     else:
         residual_field = residual
     return OneForm(torus, coeffs, potential, residual_field)
 
 
-def line_integral(form: OneForm, path: np.ndarray, closed_tol: float = 1e-6) -> float:
+def line_integral(form: OneForm, path: np.ndarray) -> float:
     """Integral of a closed 1-form along a lifted path.
 
     ``path`` is an ordered array of samples of a lift to R^d, shape (S, d)
@@ -415,7 +407,7 @@ def line_integral(form: OneForm, path: np.ndarray, closed_tol: float = 1e-6) -> 
         raise ValueError("path must have at least two samples of shape (S, d)")
     if path.shape[1] != form.torus.dim:
         raise ValueError("path dimension != torus dimension")
-    if form.coexact_sup > closed_tol:
+    if form.coexact_sup > 1e-6:
         raise ValueError(
             f"form is not closed (coexact residual {form.coexact_sup:.3e})"
         )
@@ -466,17 +458,11 @@ def harmonic_norm(coeffs: np.ndarray) -> float:
     return float(np.abs(np.asarray(coeffs, dtype=float)).sum())
 
 
-def sup_norm(form: OneForm | np.ndarray, torus: FlatTorus | None = None) -> float:
+def sup_norm(form: OneForm) -> float:
     """Grid sup of the pointwise dual norm of a 1-form.
 
     The dual norm pairs against tangent vectors of unit l1 length, so it is
     the max over components; ``sup_norm(h) <= harmonic_norm(h)`` for every
     harmonic form.
     """
-    if isinstance(form, OneForm):
-        comps = form.samples()
-    else:
-        if torus is None:
-            raise ValueError("torus required for raw component samples")
-        comps = torus.check_vector(form)
-    return float(np.abs(comps).max())
+    return float(np.abs(form.samples()).max())

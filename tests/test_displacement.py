@@ -213,7 +213,7 @@ class TestContinuity:
 
 class TestSeparation:
     def test_wiggled_loop(self, torus):
-        iso = wiggled_translation_loop(torus, 100, eps=0.02)
+        iso = wiggled_translation_loop(torus, 100)
         report = separation_check(iso, samples=25)
         assert report.hypothesis_met
         assert report.c0_gap < report.delta0

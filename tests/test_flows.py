@@ -4,6 +4,7 @@ import pytest
 from torusflux import (
     GridMap,
     InversionError,
+    Isotopy,
     TimeField,
     c0_distance,
     compose_pointwise,
@@ -117,7 +118,8 @@ class TestVelocityAndGenerator:
 
     def test_data_route_agrees(self, shear):
         gen_field = generator_of(shear)
-        gen_data = generator_of(shear, from_data=True)
+        # a copy without provenance takes the finite-difference route
+        gen_data = generator_of(Isotopy(shear.torus, shear.times, shear.disp))
         assert np.abs(gen_field.H - gen_data.H).max() < 1e-8
         assert np.abs(gen_field.U - gen_data.U).max() < 1e-6
 
@@ -561,6 +563,30 @@ class TestExactTranslations:
 
         with pytest.raises(ValueError, match="not spatially constant"):
             flow(TimeField(torus, shear, "harmonic"), 50)
+
+    def test_harmonic_guard_checks_every_sampled_time(self, torus):
+        # divergence free and constant at t = 1/2, but not at t = 0 or 1
+        def wave(t, points):
+            out = np.zeros_like(points)
+            out[..., 0] = (1 - 2 * t) * np.sin(2 * np.pi * points[..., 1]) + 0.3
+            return out
+
+        with pytest.raises(ValueError, match="not spatially constant"):
+            flow(TimeField(torus, wave, "harmonic"), 50)
+
+    def test_harmonic_guard_takes_no_divergence(self, torus, monkeypatch):
+        from torusflux import flows
+
+        calls = []
+        real = flows.divergence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flows, "divergence", counting)
+        flow(constant_field(torus, (0.3, -0.2)), 50)
+        assert calls == []
 
     @pytest.mark.parametrize("spectral", [True, False])
     def test_translation_is_exact_without_splines(self, torus, shear, spy,

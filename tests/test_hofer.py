@@ -332,7 +332,6 @@ class TestNormComparison:
 
         report = norm_comparison_check(
             GridMap.identity(torus), [("trivial", identity_isotopy(torus))],
-            eps=1e-3,
         )
         assert report.lhs_zero_flux <= 1e-3
         assert report.all_pass
@@ -340,7 +339,7 @@ class TestNormComparison:
     def test_hamiltonian_shear_margins(self, torus, ham_shear, trans_loop):
         fluxed = concat_right(ham_shear, trans_loop, with_generator=True)
         report = norm_comparison_check(
-            ham_shear.time_one(), [("direct", ham_shear)], eps=1e-3,
+            ham_shear.time_one(), [("direct", ham_shear)],
             fluxed_path=fluxed, matching_loop=trans_loop,
         )
         assert report.margin_six > 0
@@ -361,7 +360,7 @@ class TestNormComparison:
         monkeypatch.setattr(paths_mod, "inverse", recording)
         fluxed = concat_right(ham_shear, trans_loop, with_generator=True)
         norm_comparison_check(
-            ham_shear.time_one(), [("direct", ham_shear)], eps=1e-3,
+            ham_shear.time_one(), [("direct", ham_shear)],
             fluxed_path=fluxed, matching_loop=trans_loop,
         )
         # only the matching loop, whose displacement the corrected path reads

@@ -73,6 +73,19 @@ class TestRoundTrip:
         assert back.gen is None
         assert c0_distance(back, shear) == 0.0
 
+    def test_other_volume_rejected(self, torus, shear, tmp_path):
+        import json
+
+        path = tmp_path / "vol2.npz"
+        meta = {"format_version": 1, "dim": 2, "resolution": torus.grid_res,
+                "volume_scale": 2.0, "symplectic": True, "kind": shear.kind}
+        np.savez_compressed(
+            path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            times=shear.times, disp=shear.disp,
+        )
+        with pytest.raises(SerializationError, match="volume_scale"):
+            load_isotopy(path)
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not an archive at all")
