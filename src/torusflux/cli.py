@@ -3,7 +3,7 @@
 Subcommands
 -----------
 verify            run the full invariant suite, write report.csv/report.json
-scenario NAME     run one named experiment (see ``scenario --list``)
+scenario NAME     run one named experiment (``scenario list`` names them)
 save PATH         build a canonical isotopy and store it as a container
 load PATH         validate a container and print its header
 
@@ -42,8 +42,6 @@ def _common_options(fn):
     fn = click.option("--resolution", type=int, default=None,
                       help="Grid points per axis.")(fn)
     fn = click.option("--steps", type=int, default=None, help="Time steps.")(fn)
-    fn = click.option("--tolerance", type=float, default=None,
-                      help="Tolerance override for flow-coupled checks.")(fn)
     return fn
 
 
@@ -71,12 +69,12 @@ def main():
 
 @main.command()
 @_common_options
-def verify(config_path, out_dir, seed, resolution, steps, tolerance):
+def verify(config_path, out_dir, seed, resolution, steps):
     """Run the full invariant suite."""
     from .scenarios import run_verify
 
     config = _build_config(config_path, seed=seed, resolution=resolution,
-                           steps=steps, tolerance=tolerance)
+                           steps=steps)
     t0 = time.perf_counter()
     rows, extras = run_verify(config)
     sys.exit(_emit(rows, extras, config, out_dir,
@@ -86,11 +84,11 @@ def verify(config_path, out_dir, seed, resolution, steps, tolerance):
 @main.command()
 @click.argument("name")
 @_common_options
-def scenario(name, config_path, out_dir, seed, resolution, steps, tolerance):
+def scenario(name, config_path, out_dir, seed, resolution, steps):
     """Run one named scenario."""
     from .scenarios import run_scenario, scenario_names
 
-    if name == "--list" or name == "list":
+    if name == "list":
         click.echo("\n".join(scenario_names()))
         return
     if name not in scenario_names():
@@ -98,7 +96,7 @@ def scenario(name, config_path, out_dir, seed, resolution, steps, tolerance):
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}"
         )
     config = _build_config(config_path, seed=seed, resolution=resolution,
-                           steps=steps, tolerance=tolerance, experiment=name)
+                           steps=steps)
     t0 = time.perf_counter()
     rows, extras = run_scenario(name, config)
     sys.exit(_emit(rows, extras, config, out_dir,

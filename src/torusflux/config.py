@@ -3,13 +3,11 @@
 The format is INI (diff friendly, language agnostic):
 
     [torus]
-    dim = 2
     resolution = 64
 
     [run]
     steps = 200
     seed = 0
-    tolerance = 1e-6
 
     [scenario]
     pair_count = 200
@@ -19,8 +17,8 @@ The format is INI (diff friendly, language agnostic):
     hamiltonian_amplitude = 0.12
     sample_count = 100
 
-Unknown keys or sections are rejected.  Command-line flags override file
-values.
+Each key takes the type of its field's default.  Unknown keys or sections
+are rejected.  Command-line flags override file values.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ import configparser
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .flows import flow_tolerance
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -38,12 +34,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dim: int = 2
+    dim = 2  # the workbench torus is T^2: a constant, not a setting
     resolution: int = 64
     steps: int = 200
     seed: int = 0
-    tolerance: float | None = None  # override for flow-coupled checks
-    experiment: str = "verify"
     pair_count: int = 200
     cocycle_pairs: int = 50
     shear_amplitude: float = 1.0
@@ -53,51 +47,28 @@ class ExperimentConfig:
     sample_count: int = 100
 
     def validate(self) -> "ExperimentConfig":
-        if self.dim < 2:
-            raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.resolution < 8 or self.resolution % 2:
             raise ConfigError(
                 f"resolution must be even and >= 8, got {self.resolution}"
             )
         if self.steps < 50:
             raise ConfigError(f"steps must be >= 50, got {self.steps}")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
         for name in ("pair_count", "cocycle_pairs", "iterate_count",
                      "sequence_length", "sample_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         return self
 
-    def flow_tol(self, scale: float = 1.0) -> float:
-        if self.tolerance is not None:
-            return self.tolerance
-        return flow_tolerance(self.resolution, scale)
-
 
 _SECTION_KEYS = {
-    "torus": {"dim", "resolution"},
-    "run": {"steps", "seed", "tolerance"},
+    "torus": {"resolution"},
+    "run": {"steps", "seed"},
     "scenario": {
         "pair_count", "cocycle_pairs", "shear_amplitude",
         "hamiltonian_amplitude", "iterate_count", "sequence_length",
-        "sample_count", "experiment",
+        "sample_count",
     },
 }
-
-_INT_KEYS = {"dim", "resolution", "steps", "seed", "pair_count",
-             "cocycle_pairs", "iterate_count", "sequence_length",
-             "sample_count"}
-_FLOAT_KEYS = {"tolerance", "shear_amplitude", "hamiltonian_amplitude"}
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -110,6 +81,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         parser.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
+    types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     values: dict = {}
     for section in parser.sections():
         if section not in _SECTION_KEYS:
@@ -118,7 +90,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                values[key] = _parse_value(key, raw)
+                values[key] = types[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values).validate()

@@ -103,14 +103,13 @@ def inverse_lengths(isotopy: Isotopy) -> LengthReport:
     """Length report of the inverse path ``t -> phi_t^{-1}``.
 
     Equal to ``lengths(inverse(isotopy))`` but read from the generator of
-    the inverse path (:func:`inverse_generator`), so no slice is inverted;
-    each slice must still pass the fold-over guard
+    the inverse path (:func:`inverse_generator`), which evaluates only
+    forward maps; each slice must still pass the fold-over guard
     :meth:`GridMap.check_unfolded`, which raises :class:`InversionError`.
-    A path with neither a generator trace nor a provenance field takes the
-    data route through :func:`inverse`.
+    No slice is inverted when the path carries a generator trace or a
+    provenance field; otherwise :func:`generator_of`'s data route inverts
+    each forward slice once.
     """
-    if isotopy.gen is None and isotopy.provenance is None:
-        return lengths(inverse(isotopy))
     for k in range(1, isotopy.steps + 1):
         try:
             GridMap(isotopy.torus, isotopy.disp[k]).check_unfolded()

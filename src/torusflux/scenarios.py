@@ -43,6 +43,7 @@ from .flows import (
     compose_pointwise,
     constant_field,
     flow,
+    flow_tolerance,
     harmonic_isotopy,
     identity_isotopy,
 )
@@ -124,7 +125,6 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
     torus = bench.torus
     rng = np.random.default_rng(config.seed)
     out = _Timer()
-    tol = config.flow_tol(10.0)
 
     # cocycle identity over seeded conservative pairs; the test form carries
     # an exact part so that the identity is not linear-exact in the data
@@ -197,7 +197,7 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
         for t in (0.2, 0.4, 0.6, 0.8, 1.0)
     )
     out.add("flux-07-gradient-identity", "flux function differential identity",
-            worst, tol * 10)
+            worst, flow_tolerance(config.resolution, 10.0) * 10)
 
     # representative independence
     base_val = poincare_pair(bench.dx.harmonic,
@@ -683,7 +683,7 @@ def _hofer_rows(bench: Workbench) -> list[ReportRow]:
     out = _Timer()
 
     shear_rep = hofer_mod.lengths(bench.hamiltonian_shear,
-                                  validate_tol=config.flow_tol(100.0))
+                                  validate_tol=flow_tolerance(config.resolution, 100.0))
     out.add("hofer-01-shear-length", "length of the Hamiltonian shear",
             abs(shear_rep.l1_length - 1.0 / np.pi), 1e-9)
 

@@ -8,7 +8,6 @@ from torusflux.config import ConfigError, ExperimentConfig, apply_overrides, loa
 
 SMALL_CONFIG = """
 [torus]
-dim = 2
 resolution = 16
 
 [run]
@@ -60,13 +59,53 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(steps=10).validate()
 
+    def test_key_types_follow_the_field_defaults(self, tmp_path):
+        path = tmp_path / "typed.ini"
+        path.write_text("[scenario]\nshear_amplitude = 1\n")
+        cfg = load_config(path)
+        assert type(cfg.shear_amplitude) is float and cfg.shear_amplitude == 1.0
+        assert ExperimentConfig().dim == 2
+
     def test_overrides(self):
         cfg = apply_overrides(ExperimentConfig(), resolution=32, seed=None)
         assert cfg.resolution == 32
         assert cfg.seed == 0
 
 
+class TestRejectedSettings:
+    """Removed settings and ill-typed values are usage errors (exit 2)."""
+
+    @pytest.mark.parametrize("command", [["verify"], ["scenario", "flux"]])
+    def test_tolerance_flag(self, runner, tmp_path, command):
+        result = runner.invoke(
+            main, command + ["--tolerance", "1", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("text", [
+        "[run]\ntolerance = 1e-6\n",
+        "[scenario]\nexperiment = verify\n",
+        "[torus]\ndim = 2\n",
+        "[run]\nsteps = 1.5\n",
+    ])
+    def test_config_file(self, runner, tmp_path, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        result = runner.invoke(
+            main, ["verify", "--config", str(path), "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+
+
 class TestScenarioCommand:
+    def test_list_names_every_scenario(self, runner):
+        from torusflux.scenarios import scenario_names
+
+        result = runner.invoke(main, ["scenario", "list"])
+        assert result.exit_code == 0
+        assert result.output.split() == list(scenario_names())
+        assert len(scenario_names()) == 8
+
     def test_unknown_scenario_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["scenario", "nonsense", "--out", str(tmp_path)]

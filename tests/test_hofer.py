@@ -279,9 +279,25 @@ class TestInverseLengths:
         assert path.gen is not None
         assert _same_traces(inverse_lengths(path), lengths(inverse(path)))
 
-    def test_data_route(self, ham_shear):
+    def test_data_route(self, ham_shear, monkeypatch):
+        # without trace or provenance the forward generator comes from the
+        # data, which inverts each slice once and nothing else
+        from torusflux.flows import GridMap
+
         data = Isotopy(ham_shear.torus, ham_shear.times, ham_shear.disp)
-        assert _same_traces(inverse_lengths(data), lengths(inverse(data)))
+        calls = []
+        solve = GridMap.inverse
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(GridMap, "inverse", counting)
+        rep = inverse_lengths(data)
+        assert len(calls) <= ham_shear.steps + 1
+        exact = inverse_lengths(ham_shear)
+        assert abs(rep.l1_length - exact.l1_length) < 1e-12
+        assert abs(rep.linf_length - exact.linf_length) < 1e-12
 
     def test_symmetrized_norm_of_a_shear(self, ham_shear):
         # the inverse of a Hamiltonian shear is the shear of the opposite

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -238,3 +239,17 @@ class TestRefinementStudy:
         residuals = [float(line.split("max residual ")[1].split()[0]) for line in lines]
         assert all(np.isfinite(r) and r > 0 for r in residuals)
         assert "drop" in lines[1]
+
+
+def test_benchmark_worker_setup_probe(tmp_path):
+    # the worker's set-up builds the workload's torus from its config
+    # (ExperimentConfig.dim and .resolution); a config change that breaks it
+    # fails every benchmark run before the workload call
+    worker = SCRIPTS.parent / "perfbench" / "worker.py"
+    result = subprocess.run(
+        [sys.executable, str(worker), "--workload", "normcmp", "--seed", "0",
+         "--out", str(tmp_path), "--started", repr(time.monotonic()),
+         "--setup-only"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "result.json").read_text())["setup_s"] > 0
