@@ -47,9 +47,11 @@ class ExperimentConfig:
     sample_count: int = 100
 
     def validate(self) -> "ExperimentConfig":
-        if self.resolution < 8 or self.resolution % 2:
+        # flux-02 refines from a torus at N/2, which must be a valid grid
+        # (even and >= 8) as well
+        if self.resolution < 16 or self.resolution % 4:
             raise ConfigError(
-                f"resolution must be even and >= 8, got {self.resolution}"
+                f"resolution must be a multiple of 4 and >= 16, got {self.resolution}"
             )
         if self.steps < 50:
             raise ConfigError(f"steps must be >= 50, got {self.steps}")

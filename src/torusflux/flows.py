@@ -500,7 +500,21 @@ def flow(x_field: TimeField, steps: int) -> Isotopy:
     """Integrate a time-dependent field into an isotopy with lift tracking.
 
     Classical 4th-order one-step integration of every grid point over K
-    uniform steps on [0, 1]; the identity at t = 0 is exact.  A field of
+    uniform steps on [0, 1] (:func:`flow_slices`); the identity at t = 0 is
+    exact.
+    """
+    stack = flow_slices(x_field, steps, None)
+    stack[0] = 0.0
+    times = np.linspace(0.0, 1.0, steps + 1)
+    return Isotopy(x_field.torus, times, stack, kind=x_field.kind, provenance=x_field)
+
+
+def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray | None) -> np.ndarray:
+    """Lifted displacement slices of the flow, shape ``(len(keep), d) + grid``.
+
+    ``keep`` holds increasing step indices of the uniform K-step grid (None:
+    all of them); only those slices are stored, after the same K steps, so
+    each is bitwise the slice :func:`flow` stores.  A field of
     kind ``harmonic`` is validated (it must be spatially constant) and its
     flow is a translation: the orbit of the origin is integrated once and
     its lifted shift written to every grid point.
@@ -510,25 +524,29 @@ def flow(x_field: TimeField, steps: int) -> Isotopy:
         raise ValueError(f"steps must be >= 50, got {steps}")
     if x_field.kind == "harmonic":
         x_field.validate()
-        shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps)
-        stack = np.empty((steps + 1, torus.dim) + torus.shape)
-        stack[...] = shift.reshape((steps + 1, torus.dim) + (1,) * torus.dim)
-    else:
-        traj = integrate_trajectories(x_field, torus.points, steps)
-        traj -= torus.points  # in place: no second (K+1, N^d, d) array
-        stack = np.moveaxis(traj, -1, 1).reshape(
-            (steps + 1, torus.dim) + torus.shape
-        )
-    stack[0] = 0.0
-    times = np.linspace(0.0, 1.0, steps + 1)
-    return Isotopy(torus, times, stack, kind=x_field.kind, provenance=x_field)
+        shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps, keep)
+        stack = np.empty((len(shift), torus.dim) + torus.shape)
+        stack[...] = shift.reshape((len(shift), torus.dim) + (1,) * torus.dim)
+        return stack
+    traj = integrate_trajectories(x_field, torus.points, steps, keep)
+    traj -= torus.points  # in place: no second (K+1, N^d, d) array
+    return np.moveaxis(traj, -1, 1).reshape((len(traj), torus.dim) + torus.shape)
 
 
-def integrate_trajectories(x_field: TimeField, points: np.ndarray, steps: int) -> np.ndarray:
-    """RK4 trajectories of a point set over [0, 1], shape (K+1, ..., d), lifted."""
+def integrate_trajectories(
+    x_field: TimeField, points: np.ndarray, steps: int,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """RK4 trajectories of a point set over [0, 1], shape (K+1, ..., d), lifted.
+
+    With ``keep`` (increasing step indices) only those slices are stored,
+    shape ``(len(keep), ..., d)``; the K steps taken are the same.
+    """
     p = np.array(points, dtype=float)
-    out = np.empty((steps + 1,) + p.shape)
-    out[0] = p
+    slot = {int(k): i for i, k in enumerate(range(steps + 1) if keep is None else keep)}
+    out = np.empty((len(slot),) + p.shape)
+    if 0 in slot:
+        out[slot[0]] = p
     dt = 1.0 / steps
     for k in range(steps):
         t = k * dt
@@ -539,7 +557,8 @@ def integrate_trajectories(x_field: TimeField, points: np.ndarray, steps: int) -
         p = p + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(p)):
             raise IntegrationError(f"non-finite flow values at t = {t + dt:.6f}")
-        out[k + 1] = p
+        if k + 1 in slot:
+            out[slot[k + 1]] = p
     return out
 
 

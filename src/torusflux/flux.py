@@ -25,7 +25,9 @@ from .flows import (
     GridMap,
     Isotopy,
     PeriodicInterp,
+    TimeField,
     contract_field_to_coeffs,
+    flow_slices,
     flow_tolerance,
     integrate_trajectories,
 )
@@ -132,8 +134,12 @@ def flux_class(isotopy: Isotopy) -> FluxClass:
     mean of the lifted displacement.  Conservativity is not checked here;
     :func:`~torusflux.flows.verify_conservative` measures it.
     """
-    torus = isotopy.torus
-    return FluxClass(isotopy.disp[-1].reshape(torus.dim, -1).mean(axis=1))
+    return _flux_class_at(isotopy.torus, isotopy.disp[-1])
+
+
+def _flux_class_at(torus: FlatTorus, time_one: np.ndarray) -> FluxClass:
+    """Flux class from the lifted time-one displacement ``(d,) + grid``."""
+    return FluxClass(time_one.reshape(torus.dim, -1).mean(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -236,43 +242,43 @@ class Fact2Report:
         return float(np.abs(self.lhs - self.rhs).max())
 
 
-def factorization2_check(isotopy: Isotopy, time_samples: int | None = None) -> Fact2Report:
+def factorization2_check(
+    x_field: TimeField, steps: int, time_samples: int | None = None
+) -> Fact2Report:
     """Even-degree wedge factorization of the volume flux on T^4.
 
-    The volume-form flux pairings (mean lifted displacement) are compared
-    with the wedge of the degree-2 flux class with the symplectic class.
-    The degree-2 flux is computed honestly as the cohomology class of the
-    time integral of the pulled-back contraction, using orbit velocities
-    from the provenance field and spectral Jacobians.
+    The volume-form flux pairings (mean lifted displacement) of the flow of
+    ``x_field`` over ``steps`` RK4 steps are compared with the wedge of the
+    degree-2 flux class with the symplectic class.  The degree-2 flux is
+    computed honestly as the cohomology class of the time integral of the
+    pulled-back contraction, using orbit velocities from the field and
+    spectral Jacobians, at ``time_samples`` indices of the K-step grid (all
+    by default).  The flow stores only the sampled slices
+    (:func:`~torusflux.flows.flow_slices`); the last one is the time-one
+    map.  The indices need not be evenly spaced, so the slices are not an
+    :class:`~torusflux.flows.Isotopy`.
     """
-    torus = isotopy.torus
+    torus = x_field.torus
     if torus.dim != 4 or not torus.symplectic:
         raise ValueError("wedge factorization check requires the symplectic T^4")
-    lhs = flux_class(isotopy).pairings
-
     ks = (
-        np.arange(isotopy.steps + 1)
+        np.arange(steps + 1)
         if time_samples is None
-        else np.unique(np.linspace(0, isotopy.steps, time_samples).astype(int))
+        else np.unique(np.linspace(0, steps, time_samples).astype(int))
     )
-    pulled = np.zeros((len(ks), torus.dim) + torus.shape)
-    for row, k in enumerate(ks):
-        slice_map = GridMap(torus, isotopy.disp[k])
-        if isotopy.provenance is not None:
-            vel = isotopy.provenance(
-                isotopy.times[k], slice_map.image_points()
-            ).T.reshape((torus.dim,) + torus.shape)
-        else:
-            vel = isotopy.velocity_samples(k)  # along the orbit, at start points
-        coeffs_at_image = contract_field_to_coeffs(vel)
-        pulled[row] = np.einsum(
-            "ji...,j...->i...", slice_map.jacobian(), coeffs_at_image
+    slices = flow_slices(x_field, steps, ks)
+    times = np.linspace(0.0, 1.0, steps + 1)[ks]
+    lhs = _flux_class_at(torus, slices[-1]).pairings
+
+    means = np.empty((len(ks), torus.dim))
+    for row, (t, disp) in enumerate(zip(times, slices)):
+        slice_map = GridMap(torus, disp)
+        vel = x_field(t, slice_map.image_points()).T.reshape((torus.dim,) + torus.shape)
+        pulled = np.einsum(
+            "ji...,j...->i...", slice_map.jacobian(), contract_field_to_coeffs(vel)
         )
-    omega_flux = np.trapezoid(
-        pulled.reshape(len(ks), torus.dim, -1).mean(axis=2),
-        isotopy.times[ks],
-        axis=0,
-    )
+        means[row] = pulled.reshape(torus.dim, -1).mean(axis=1)
+    omega_flux = np.trapezoid(means, times, axis=0)
 
     pairs = _symplectic_pairs(torus.dim)
     rhs = np.zeros(torus.dim)

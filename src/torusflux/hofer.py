@@ -46,6 +46,7 @@ from .flows import (
     rotate_coeffs_to_field,
 )
 from .flux import flux_class
+from .paths import ConcatTrace, concat_left, concat_trace
 from .torus import FlatTorus, InversionError, harmonic_norm, hodge_decompose, osc
 
 # largest C0 gap at which a candidate path counts as reaching the target map
@@ -85,7 +86,9 @@ def _trace_report(gen: GeneratorPair) -> LengthReport:
     return LengthReport(gen.times.copy(), osc_trace, np.abs(gen.H).sum(axis=1))
 
 
-def lengths(isotopy: Isotopy, validate_tol: float | None = None) -> LengthReport:
+def lengths(
+    isotopy: Isotopy | ConcatTrace, validate_tol: float | None = None
+) -> LengthReport:
     """Length report from the generator pair of a symplectic isotopy.
 
     ``validate_tol`` re-derives the velocity from the stored displacement
@@ -158,16 +161,24 @@ def hodge_split_isotopy(isotopy: Isotopy) -> HodgeSplit:
     generator has no harmonic part.  ``harmonic_consistency`` reports the
     gap between the differenced shift and the generator's harmonic trace;
     a gap above 1e-3 raises.
+
+    rho's displacement stack and its all-zero function part ``U`` are
+    read-only :func:`numpy.broadcast_to` views: the stack of the ``(K+1, d)``
+    shift and of 0.0, not dense ``(K+1, d) + grid`` arrays.
     """
     torus = isotopy.torus
     gen = generator_of(isotopy)
     k1 = len(gen.times)
     shift = isotopy.disp.reshape(k1, torus.dim, -1).mean(axis=2)  # (K+1, d)
+    # +0.0, the mean of the identity slice: rho starts at the identity
+    assert not shift[0].any() and not np.signbit(shift[0]).any()
 
-    rho_stack = np.zeros((k1, torus.dim) + torus.shape)
-    rho_stack += shift.reshape((k1, torus.dim) + (1,) * torus.dim)
-    rho_stack[0] = 0.0
-    rho_gen = GeneratorPair(gen.times.copy(), np.zeros((k1,) + torus.shape), gen.H.copy())
+    stacked = (k1, torus.dim) + torus.shape
+    rho_stack = np.broadcast_to(
+        shift.reshape((k1, torus.dim) + (1,) * torus.dim), stacked
+    )
+    rho_u = np.broadcast_to(0.0, (k1,) + torus.shape)
+    rho_gen = GeneratorPair(gen.times.copy(), rho_u, gen.H.copy())
     rho = Isotopy(torus, gen.times.copy(), rho_stack, kind="harmonic", gen=rho_gen)
 
     rem_stack = isotopy.disp - rho_stack
@@ -412,14 +423,16 @@ class EnergySurrogate:
 
 
 def energy_surrogate(
-    target: GridMap, candidates: Sequence[tuple[str, Isotopy]]
+    target: GridMap, candidates: Sequence[tuple[str, Isotopy | ConcatTrace]]
 ) -> EnergySurrogate:
     """Family minimum of l_B and l_B_inf over isotopies reaching the target.
 
-    Candidates whose time-one map misses the target beyond MATCH_TOL are
-    rejected; an empty family is an error.
+    A candidate is an isotopy or the :class:`~torusflux.paths.ConcatTrace`
+    of a concatenation; only its time-one map and its generator trace are
+    read.  Candidates whose time-one map misses the target beyond MATCH_TOL
+    are rejected; an empty family is an error.
     """
-    kept: list[tuple[str, Isotopy]] = []
+    kept: list[tuple[str, Isotopy | ConcatTrace]] = []
     for label, iso in candidates:
         gap = iso.time_one().c0_distance(target)
         if gap <= MATCH_TOL:
@@ -443,18 +456,21 @@ def energy_invariance_check(
 
     Concatenating candidates with flux-matching loops (the trivial loop
     included) must not change the family minimum beyond quadrature noise,
-    both families being upper bounds of the same infimum.  The concatenations
-    take 1600 time steps, which resolves the cutoff layers to below 1e-9.
+    both families being upper bounds of the same infimum.  The left
+    concatenations take 1600 time steps and are built by
+    :func:`~torusflux.paths.concat_trace`, which keeps their generator
+    traces and time-one maps and no displacement stack.  At 1600 steps the
+    Simpson integral of the cutoff rate over one half of the grid is 1 +
+    9.3e-10, so the concatenated lengths carry a quadrature error of that
+    relative size; the row's 1e-9 tolerance is only 1.1 times larger.
     """
-    from .paths import concat_left
-
     plain = energy_surrogate(target, candidates)
     concatenated = []
     for c_label, iso in candidates:
         for l_label, loop in loops:
             concatenated.append(
                 (f"{c_label}*{l_label}",
-                 concat_left(loop, iso, steps=1600, with_generator=True))
+                 concat_trace(iso, loop, 1600, left=True))
             )
     looped = energy_surrogate(target, concatenated)
     return abs(plain.e0 - looped.e0)
@@ -500,8 +516,6 @@ def norm_comparison_check(
     against the symmetrized Hofer-like norm runs on all candidates.  Each
     margin grants the surrogate a slack of 1e-3.
     """
-    from .paths import concat_left
-
     zero_flux: list[tuple[str, Isotopy]] = []
     for label, iso in hamiltonian_paths:
         if iso.time_one().c0_distance(target) > MATCH_TOL:

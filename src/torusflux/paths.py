@@ -32,6 +32,7 @@ from .flows import (
     is_repeat,
     pullback_potential,
 )
+from .torus import FlatTorus
 
 _DENSE = 4096
 
@@ -118,17 +119,16 @@ def default_cutoff() -> CutoffFunction:
 
 def _reparam_generator(
     iso: Isotopy, warped: np.ndarray, rates: np.ndarray,
-    through: GridMap | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generator trace ``rate * gen(warp)`` of iso, read from one extraction.
+    u_out: np.ndarray, h_out: np.ndarray, through: GridMap | None = None,
+) -> None:
+    """Write the generator trace ``rate * gen(warp)`` of iso into the outputs.
 
-    With ``through`` the trace is pulled back through that map: the function
-    part is :func:`~torusflux.flows.pullback_potential`'s, and the harmonic
-    part is unchanged.
+    The trace is read from one extraction.  With ``through`` it is pulled
+    back through that map: the function part is
+    :func:`~torusflux.flows.pullback_potential`'s, and the harmonic part is
+    unchanged.
     """
     gen = generator_of(iso)
-    u_out = np.empty((len(warped),) + iso.torus.shape)
-    h_out = np.empty((len(warped), iso.torus.dim))
     for i, (w, r) in enumerate(zip(warped, rates)):
         u = interp_time(gen.times, gen.U, float(w))
         h = interp_time(gen.times, gen.H, float(w))
@@ -139,7 +139,79 @@ def _reparam_generator(
         else:
             u_out[i] = pullback_potential(through, u, h, float(r))
         h_out[i] = r * h
-    return u_out, h_out
+
+
+def _concat_times(first: Isotopy, second: Isotopy, steps: int | None) -> np.ndarray:
+    """The concatenation's uniform time grid, with an even number of steps."""
+    if first.torus != second.torus:
+        raise ValueError("isotopies live on different tori")
+    k = steps if steps is not None else first.steps + second.steps
+    k += k % 2
+    return np.linspace(0.0, 1.0, k + 1)
+
+
+def _glue(first_1: GridMap, second_tau: GridMap, left: bool) -> GridMap:
+    """``second_tau o first_1`` when ``left``, else ``first_1 o second_tau``."""
+    if left:
+        return second_tau.compose(first_1, spectral=False)
+    return first_1.compose(second_tau, spectral=False)
+
+
+def _concat_generator(
+    first: Isotopy, first_1: GridMap, second: Isotopy, times: np.ndarray,
+    left: bool,
+) -> GeneratorPair:
+    """The reparametrized union of the pieces' generator traces on ``times``.
+
+    On the right the second piece's trace is pushed forward by ``first_1``,
+    the time-one map of ``first``.  Both halves are written into one
+    buffer; the second piece's value at t = 1/2 would fill the first
+    piece's last slot and is not computed.
+    """
+    f = default_cutoff()
+    half = (len(times) - 1) // 2
+    torus = first.torus
+    u = np.empty((len(times),) + torus.shape)
+    h = np.empty((len(times), torus.dim))
+    lo, hi = times[: half + 1], times[half + 1 :]
+    _reparam_generator(first, f.lam(lo), 2.0 * f.deriv(2.0 * lo),
+                       u[: half + 1], h[: half + 1])
+    _reparam_generator(second, f.tau(hi), 2.0 * f.deriv(2.0 * hi - 1.0),
+                       u[half + 1 :], h[half + 1 :],
+                       through=None if left else first_1.inverse())
+    return GeneratorPair(times.copy(), u, h)
+
+
+@dataclass(frozen=True)
+class ConcatTrace:
+    """Generator trace and time-one map of a concatenation, with no stack.
+
+    :func:`~torusflux.hofer.lengths` and
+    :func:`~torusflux.hofer.energy_surrogate` read it as they read an
+    :class:`Isotopy` that carries ``gen``.
+    """
+
+    torus: FlatTorus
+    gen: GeneratorPair
+    end: GridMap
+
+    def time_one(self) -> GridMap:
+        return self.end
+
+
+def concat_trace(first: Isotopy, second: Isotopy, steps: int, left: bool) -> ConcatTrace:
+    """Generator trace and time-one map of a concatenation on ``steps`` steps.
+
+    ``first`` runs during [0, 1/2]: the result equals ``concat_left(second,
+    first, steps, with_generator=True)`` when ``left`` and ``concat_right(
+    first, second, steps, with_generator=True)`` otherwise, bit for bit in
+    ``gen`` and in the time-one map, without the displacement stack.  The
+    time-one map is one composition of the pieces' time-one maps.
+    """
+    times = _concat_times(first, second, steps)
+    first_1 = first.time_one()
+    gen = _concat_generator(first, first_1, second, times, left)
+    return ConcatTrace(first.torus, gen, _glue(first_1, second.time_one(), left))
 
 
 def _concat(
@@ -152,16 +224,14 @@ def _concat(
     ``first_1 o second_tau`` otherwise.  A slice whose ``second_tau``
     repeats the previous one (a constant path, the flat ends of the cutoff)
     copies the previous composed slice.  The attached generator trace is
-    the reparametrized union of the pieces' traces; on the right the second
-    piece's is pushed forward by ``first_1``.
+    :func:`_concat_generator`'s, which :func:`concat_trace` shares: callers
+    that read only the trace and the time-one map take that route and build
+    no stack.
     """
-    if first.torus != second.torus:
-        raise ValueError("isotopies live on different tori")
     f = default_cutoff()
     torus = first.torus
-    k = steps if steps is not None else first.steps + second.steps
-    k += k % 2
-    times = np.linspace(0.0, 1.0, k + 1)
+    times = _concat_times(first, second, steps)
+    k = len(times) - 1
     half = k // 2
     stack = np.empty((k + 1, torus.dim) + torus.shape)
     for j in range(half + 1):
@@ -173,21 +243,12 @@ def _concat(
         if is_repeat(second_tau.disp, previous):
             stack[j] = stack[j - 1]
             continue
-        glued = (second_tau.compose(end, spectral=False) if left
-                 else end.compose(second_tau, spectral=False))
-        stack[j] = glued.disp
+        stack[j] = _glue(end, second_tau, left).disp
         previous = second_tau.disp
     stack[0] = 0.0
     gen = None
     if with_generator:
-        lo, hi = times[: half + 1], times[half:]
-        u1, h1 = _reparam_generator(first, f.lam(lo), 2.0 * f.deriv(2.0 * lo))
-        u2, h2 = _reparam_generator(
-            second, f.tau(hi), 2.0 * f.deriv(2.0 * hi - 1.0),
-            through=None if left else end.inverse(),
-        )
-        gen = GeneratorPair(times.copy(), np.concatenate([u1, u2[1:]]),
-                            np.concatenate([h1, h2[1:]]))
+        gen = _concat_generator(first, end, second, times, left)
     tags = {first.kind, second.kind}
     if "general" in tags:
         kind = "general"
@@ -214,6 +275,7 @@ def concat_right(
     leaves the harmonic part untouched (cohomology invariance) and composes
     the function part with ``phi_1^{-1}`` plus the explicit correction
     ``H . lift(phi_1^{-1})`` from pulling the harmonic form back.
+    :func:`concat_trace` gives the trace and the time-one map alone.
     """
     return _concat(phi, psi, steps, with_generator, left=False)
 
@@ -230,7 +292,9 @@ def concat_left(
     under phi glued with the orbit of phi_1(p) under psi.  The generator
     trace of the result is the reparametrized union of the pieces' traces,
     so the integrated length is exactly additive; pass ``with_generator``
-    to attach it.
+    to attach it.  A caller that reads only that trace and the time-one map
+    takes :func:`concat_trace` (``left=True``), which builds no
+    displacement stack.
     """
     return _concat(phi, psi, steps, with_generator, left=True)
 
@@ -297,6 +361,8 @@ def reparametrized(
     if warp_deriv is not None:
         warped = np.clip([warp(t) for t in times], 0.0, 1.0)
         rates = np.maximum([warp_deriv(t) for t in times], 0.0)
-        u, h = _reparam_generator(phi, warped, rates)
+        u = np.empty((k + 1,) + torus.shape)
+        h = np.empty((k + 1, torus.dim))
+        _reparam_generator(phi, warped, rates, u, h)
         gen = GeneratorPair(times.copy(), u, h)
     return Isotopy(torus, times, stack, kind=phi.kind, gen=gen)

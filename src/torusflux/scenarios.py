@@ -47,7 +47,7 @@ from .flows import (
     harmonic_isotopy,
     identity_isotopy,
 )
-from .paths import concat_left, concat_right, make_cutoff, reparametrized
+from .paths import concat_right, concat_trace, make_cutoff, reparametrized
 from .reporting import ReportRow
 from .torus import OneForm, integrate, minimal_geodesic, poincare_pair
 
@@ -543,25 +543,24 @@ def scenario_factorization2(bench: Workbench) -> tuple[list[ReportRow], dict]:
         (lambda y: 0.4 * (1 + np.cos(2 * np.pi * y)) / 2, 2, 3),
     )
 
-    # each T^4 displacement stack is released after its check, so at most
-    # one is alive at a time (they set the peak memory of a verify run)
-    iso = flow(TimeField(torus4, product_shear, "symplectic"), steps)
-    report = flux_mod.factorization2_check(iso, time_samples=21)
-    del iso
+    # each check stores only the slices of its T^4 flow that it reads
+    report = flux_mod.factorization2_check(
+        TimeField(torus4, product_shear, "symplectic"), steps, time_samples=21
+    )
     out.add("fact2-01-product-shear", "wedge factorization on the 4-torus",
             report.residual, 1e-4)
 
-    iso2 = flow(constant_field(torus4, (1, 0, 0, 0)), max(50, steps // 2))
-    rep2 = flux_mod.factorization2_check(iso2, time_samples=11)
-    del iso2
+    rep2 = flux_mod.factorization2_check(
+        constant_field(torus4, (1, 0, 0, 0)), max(50, steps // 2), time_samples=11
+    )
     out.add("fact2-02-translation", "wedge factorization of a loop",
             rep2.residual, 1e-9)
 
     ham = TrigHamiltonian(torus4, np.random.default_rng(config.seed + 11),
                           amplitude=0.05)
-    iso3 = flow(ham.field(), max(50, steps // 2))
-    rep3 = flux_mod.factorization2_check(iso3, time_samples=11)
-    del iso3
+    rep3 = flux_mod.factorization2_check(
+        ham.field(), max(50, steps // 2), time_samples=11
+    )
     out.add("fact2-03-hamiltonian", "vanishing wedge flux of Hamiltonian flows",
             max(rep3.residual, float(np.abs(rep3.lhs).max())), 1e-3)
     return out.rows, {}
@@ -702,8 +701,8 @@ def _hofer_rows(bench: Workbench) -> list[ReportRow]:
     out.add("hofer-04-cutoff-slope", "cutoff slope bound",
             cut.sup_slope, 1e-3, bound=1.2)
 
-    concat = concat_left(tr, bench.hamiltonian_shear, steps=1600,
-                         with_generator=True)
+    # the rows read the generator trace only: no displacement stack
+    concat = concat_trace(bench.hamiltonian_shear, tr, 1600, left=True)
     concat_rep = hofer_mod.lengths(concat)
     gap = abs(concat_rep.l1_length - tr_rep.l1_length - shear_rep.l1_length)
     out.add("hofer-05-length-additivity", "concatenation length additivity",

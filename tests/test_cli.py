@@ -97,6 +97,27 @@ class TestRejectedSettings:
         assert result.exit_code == 2
 
 
+class TestResolution:
+    """flux-02 builds a torus at N/2, so N/2 must be a valid grid too."""
+
+    @pytest.mark.parametrize("resolution", ["12", "18"])
+    def test_half_grid_invalid_is_a_usage_error(self, runner, tmp_path, resolution):
+        result = runner.invoke(
+            main, ["scenario", "flux", "--resolution", resolution, "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "multiple of 4" in result.output
+
+    def test_sixteen_is_accepted(self, runner, small_config, tmp_path):
+        result = runner.invoke(
+            main, ["scenario", "flux", "--config", str(small_config),
+                   "--resolution", "16", "--out", str(tmp_path)]
+        )
+        assert result.exit_code in (0, 1), result.output
+        assert not isinstance(result.exception, ValueError)
+        assert "flux-02-cocycle-refinement" in result.output
+
+
 class TestScenarioCommand:
     def test_list_names_every_scenario(self, runner):
         from torusflux.scenarios import scenario_names

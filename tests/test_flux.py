@@ -175,8 +175,9 @@ class TestFactorization2:
             out[..., 2] = 0.4 * (1 + np.cos(2 * np.pi * p[..., 3])) / 2
             return out
 
-        iso = flow(TimeField(torus4, field, "symplectic"), 60)
-        report = factorization2_check(iso, time_samples=13)
+        report = factorization2_check(
+            TimeField(torus4, field, "symplectic"), 60, time_samples=13
+        )
         # wedge-algebra oracle: pairings are the mean profiles (gbar, 0, hbar, 0)
         assert np.abs(report.lhs - [0.35, 0.0, 0.2, 0.0]).max() < 1e-6
         assert report.residual < 1e-5
@@ -187,21 +188,66 @@ class TestFactorization2:
             out[..., 0] = 1.0
             return out
 
-        iso = flow(TimeField(torus4, field, "symplectic"), 60)
-        report = factorization2_check(iso, time_samples=7)
+        report = factorization2_check(
+            TimeField(torus4, field, "symplectic"), 60, time_samples=7
+        )
         assert np.abs(report.lhs - [1, 0, 0, 0]).max() < 1e-9
         assert report.residual < 1e-9
 
     def test_hamiltonian_vanishes(self, torus4):
         ham = TrigHamiltonian(torus4, np.random.default_rng(5), amplitude=0.05)
-        iso = flow(ham.field(), 60)
-        report = factorization2_check(iso, time_samples=7)
+        report = factorization2_check(ham.field(), 60, time_samples=7)
         assert report.residual < 1e-3
         assert np.abs(report.lhs).max() < 1e-3
 
+    @pytest.mark.parametrize("steps", [50, 100])
+    @pytest.mark.parametrize("kind, time_samples", [
+        ("symplectic", 21), ("harmonic", 11), ("hamiltonian", 11),
+    ])
+    def test_thinned_flow_equals_full_stack(self, steps, kind, time_samples, monkeypatch):
+        import torusflux.flows as flows_mod
+        import torusflux.flux as flux_mod
+        from torusflux.flows import constant_field
+
+        torus4 = FlatTorus(4, 8, symplectic=True)
+
+        def shear(t, p):
+            out = np.zeros_like(p)
+            out[..., 0] = 0.7 * (1 + np.sin(2 * np.pi * p[..., 1])) / 2
+            out[..., 2] = 0.4 * (1 + np.cos(2 * np.pi * p[..., 3])) / 2
+            return out
+
+        x_field = {
+            "symplectic": lambda: TimeField(torus4, shear, "symplectic"),
+            "harmonic": lambda: constant_field(torus4, (1, 0, 0, 0)),
+            "hamiltonian": lambda: TrigHamiltonian(
+                torus4, np.random.default_rng(11), amplitude=0.05).field(),
+        }[kind]()
+        stored = []
+        real = flows_mod.integrate_trajectories
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            stored.append(len(out))
+            return out
+
+        monkeypatch.setattr(flows_mod, "integrate_trajectories", recording)
+        thinned = factorization2_check(x_field, steps, time_samples=time_samples)
+        ks = np.unique(np.linspace(0, steps, time_samples).astype(int))
+        assert stored == [len(ks)]
+
+        # the full-stack route: every slice of flow(), then the sampled ones
+        monkeypatch.setattr(flux_mod, "flow_slices",
+                            lambda f, k, keep: flow(f, k).disp[keep])
+        full = factorization2_check(x_field, steps, time_samples=time_samples)
+        assert stored[1:] == [steps + 1]
+        for name in ("lhs", "rhs", "omega_flux"):
+            a, b = getattr(thinned, name), getattr(full, name)
+            assert a.tobytes() == b.tobytes(), name
+
     def test_dimension_guard(self, torus, shear):
         with pytest.raises(ValueError):
-            factorization2_check(shear)
+            factorization2_check(shear.provenance, shear.steps)
 
 
 class TestOrbits:

@@ -29,7 +29,7 @@ from torusflux.hofer import (
     norm_comparison_check,
     vector_field_b_norm,
 )
-from torusflux.paths import concat_left, concat_right
+from torusflux.paths import concat_left, concat_right, concat_trace
 
 
 def _same_traces(a, b):
@@ -260,6 +260,18 @@ class TestSurrogates:
         )
         assert bigger.e0 <= small.e0 + 1e-12
 
+    def test_trace_candidates_keep_the_match_rule(self, torus, ham_shear, shear):
+        triv = identity_isotopy(torus, 50)
+        reaching = concat_trace(ham_shear, triv, 400, left=True)
+        missing = concat_trace(shear, triv, 400, left=True)
+        sur = energy_surrogate(
+            ham_shear.time_one(), [("missing", missing), ("reaching", reaching)]
+        )
+        assert sur.labels == ("reaching",)
+        assert sur.e0 == lengths(reaching).l1_length
+        with pytest.raises(ValueError, match="no candidate"):
+            energy_surrogate(ham_shear.time_one(), [("missing", missing)])
+
     def test_invariance(self, torus, ham_shear):
         resid = energy_invariance_check(
             ham_shear.time_one(),
@@ -429,3 +441,49 @@ class TestShrinkingSequences:
             if prev is not None:
                 assert hofer < prev
             prev = hofer
+
+
+def _owner(a):
+    """The array that owns a view's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestMemory:
+    """No dense array is built that no row reads (N = 16, K = 50)."""
+
+    @pytest.fixture(scope="class")
+    def torus16(self):
+        from torusflux import FlatTorus
+
+        return FlatTorus(2, 16, symplectic=True)
+
+    def test_energy_invariance_holds_no_concatenation_stack(self, torus16):
+        import tracemalloc
+
+        ham = hamiltonian_shear(torus16, 50)
+        triv = identity_isotopy(torus16, 50)
+        stack_bytes = 1601 * torus16.dim * 16**2 * 8
+        tracemalloc.start()
+        try:
+            resid = energy_invariance_check(
+                ham.time_one(), [("direct", ham)], [("trivial", triv)]
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert resid < 1e-9
+        assert peak < stack_bytes, peak / stack_bytes
+
+    def test_harmonic_path_is_a_broadcast(self, torus16):
+        def coeffs(t):
+            return np.array([0.3 * np.cos(2 * np.pi * t), 0.1])
+
+        comp = compose_pointwise(
+            harmonic_isotopy(torus16, coeffs, 50), hamiltonian_shear(torus16, 50)
+        )
+        rho = hodge_split_isotopy(comp).harmonic_path
+        assert _owner(rho.disp).nbytes <= 51 * torus16.dim * 8
+        assert _owner(rho.gen.U).nbytes <= 8
+        assert not rho.disp.flags.writeable and not np.signbit(rho.disp[0]).any()

@@ -14,6 +14,7 @@ from torusflux.hofer import lengths
 from torusflux.paths import (
     concat_left,
     concat_right,
+    concat_trace,
     default_cutoff,
     iterate,
     make_cutoff,
@@ -294,3 +295,54 @@ class TestRepeatedSlices:
             assert out.gen is not None
         # ham_shear runs first in both, and each piece is read once per concatenation
         assert [id(iso) for iso in calls] == [id(ham_shear), id(shear)] * 2
+
+
+def _same_bits(a, b):
+    """Equal shapes and bytes: signed zeros told apart."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestConcatTrace:
+    """The trace-only route gives the stacked concatenation's trace and endpoint."""
+
+    @pytest.mark.parametrize("left, pieces, steps", [
+        # an identity second piece: tau repeats its slices throughout
+        (True, ("ham_shear", "identity"), 201),
+        (True, ("translation", "shear"), 200),
+        (False, ("ham_shear", "translation"), 200),
+        (False, ("identity", "ham_shear"), 151),
+        (False, ("shear", "ham_shear"), 120),
+    ])
+    def test_trace_route_equals_stacked_route(
+        self, torus, shear, ham_shear, left, pieces, steps
+    ):
+        named = {
+            "shear": shear,
+            "ham_shear": ham_shear,
+            "identity": identity_isotopy(torus, 50),
+            "translation": translation_isotopy(torus, 100, (0.25, 0.1)),
+        }
+        first, second = (named[name] for name in pieces)
+        trace = concat_trace(first, second, steps, left=left)
+        if left:
+            stacked = concat_left(second, first, steps, with_generator=True)
+        else:
+            stacked = concat_right(first, second, steps, with_generator=True)
+        assert len(trace.gen.times) == steps + 1 + steps % 2
+        for name in ("times", "U", "H"):
+            assert _same_bits(getattr(trace.gen, name), getattr(stacked.gen, name)), name
+        assert _same_bits(trace.time_one().disp, stacked.time_one().disp)
+        ours, theirs = lengths(trace), lengths(stacked)
+        for name in ("times", "osc_trace", "harmonic_trace"):
+            assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
+        assert (ours.l1_length, ours.linf_length, ours.hofer_l1) == (
+            theirs.l1_length, theirs.linf_length, theirs.hofer_l1)
+
+    def test_generator_check_still_applies(self):
+        from torusflux import FlatTorus
+
+        plain = FlatTorus(2, 16, symplectic=False)
+        triv = identity_isotopy(plain, 50)
+        with pytest.raises(ValueError, match="symplectic"):
+            concat_trace(triv, triv, 100, left=True)
