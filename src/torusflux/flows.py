@@ -171,14 +171,20 @@ class GridMap:
     go through a periodic cubic spline of ``disp``, built once per map.  A
     map whose displacement is the same vector at every grid point (bit for
     bit) is a translation: it is applied, composed as the outer map and
-    inverted exactly, with no spline, Jacobian or Newton step.
+    inverted exactly, with no spline, Jacobian or Newton step.  A ``disp``
+    with a zero stride (a slice of a :func:`translation_stack`) is copied
+    into a dense array: a ufunc's output takes the layout of its
+    non-broadcast operand, and a grid mean in another layout rounds differently.
     """
 
     torus: FlatTorus
     disp: np.ndarray  # (d,) + grid
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "disp", self.torus.check_vector(self.disp))
+        disp = self.torus.check_vector(self.disp)
+        if 0 in disp.strides:
+            disp = disp.copy()
+        object.__setattr__(self, "disp", disp)
 
     @classmethod
     def identity(cls, torus: FlatTorus) -> "GridMap":
@@ -501,10 +507,9 @@ def flow(x_field: TimeField, steps: int) -> Isotopy:
 
     Classical 4th-order one-step integration of every grid point over K
     uniform steps on [0, 1] (:func:`flow_slices`); the identity at t = 0 is
-    exact.
+    exact (``p - p``, or the origin's zero shift).
     """
     stack = flow_slices(x_field, steps, None)
-    stack[0] = 0.0
     times = np.linspace(0.0, 1.0, steps + 1)
     return Isotopy(x_field.torus, times, stack, kind=x_field.kind, provenance=x_field)
 
@@ -517,7 +522,7 @@ def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray | None) -> np.n
     each is bitwise the slice :func:`flow` stores.  A field of
     kind ``harmonic`` is validated (it must be spatially constant) and its
     flow is a translation: the orbit of the origin is integrated once and
-    its lifted shift written to every grid point.
+    its lifted shift broadcast to the grid (:func:`translation_stack`).
     """
     torus = x_field.torus
     if steps < 50:
@@ -525,9 +530,7 @@ def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray | None) -> np.n
     if x_field.kind == "harmonic":
         x_field.validate()
         shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps, keep)
-        stack = np.empty((len(shift), torus.dim) + torus.shape)
-        stack[...] = shift.reshape((len(shift), torus.dim) + (1,) * torus.dim)
-        return stack
+        return translation_stack(torus, shift[:, 0])
     traj = integrate_trajectories(x_field, torus.points, steps, keep)
     traj -= torus.points  # in place: no second (K+1, N^d, d) array
     return np.moveaxis(traj, -1, 1).reshape((len(traj), torus.dim) + torus.shape)
@@ -787,6 +790,28 @@ def verify_conservative(isotopy: Isotopy, nt: int = 9) -> ConservativityReport:
 # ---------------------------------------------------------------------------
 
 
+def translation_stack(torus: FlatTorus, shift: np.ndarray) -> np.ndarray:
+    """Read-only ``(K+1, d) + grid`` broadcast of a ``(K+1, d)`` shift.
+
+    The displacement stack of a translation path; it stores (K+1) d numbers.
+    """
+    lead = shift.shape + (1,) * torus.dim
+    return np.broadcast_to(shift.reshape(lead), shift.shape + torus.shape)
+
+
+def translation_path(torus: FlatTorus, times: np.ndarray, shift: np.ndarray,
+                     coeffs: np.ndarray) -> Isotopy:
+    """Translation path of a ``(K+1, d)`` shift and harmonic trace ``coeffs``.
+
+    Its stack (:func:`translation_stack`) and its generator's zero function
+    part (attached on a symplectic torus) are read-only broadcasts.
+    """
+    u = np.broadcast_to(0.0, (len(times),) + torus.shape)
+    gen = GeneratorPair(times, u, coeffs) if torus.symplectic else None
+    stack = translation_stack(torus, shift)
+    return Isotopy(torus, times, stack, kind="harmonic", gen=gen)
+
+
 def harmonic_isotopy(
     torus: FlatTorus, coeffs_of_t: Callable[[float], np.ndarray], steps: int
 ) -> Isotopy:
@@ -794,7 +819,7 @@ def harmonic_isotopy(
 
     The flow of a spatially constant field is a translation, so the lifted
     displacement is the cumulative time integral of ``rot(H_t)`` computed by
-    fine Simpson quadrature rather than RK4.
+    fine Simpson quadrature rather than RK4 (:func:`translation_path`).
     """
     times = np.linspace(0.0, 1.0, steps + 1)
     fine = np.linspace(0.0, 1.0, 4 * steps + 1)
@@ -809,22 +834,11 @@ def harmonic_isotopy(
         shift[k + 1] = shift[k] + (h / 3) * (
             seg[0] + 4 * seg[1] + 2 * seg[2] + 4 * seg[3] + seg[4]
         )
-    stack = np.zeros((steps + 1, torus.dim) + torus.shape)
-    stack += shift.reshape((steps + 1, torus.dim) + (1,) * torus.dim)
-    stack[0] = 0.0
-    gen = None
-    if torus.symplectic:
-        coeff_trace = np.stack([np.asarray(coeffs_of_t(t), dtype=float) for t in times])
-        gen = GeneratorPair(times, np.zeros((steps + 1,) + torus.shape), coeff_trace)
-    return Isotopy(torus, times, stack, kind="harmonic", gen=gen)
+    coeff_trace = np.stack([np.asarray(coeffs_of_t(t), dtype=float) for t in times])
+    return translation_path(torus, times, shift, coeff_trace)
 
 
 def identity_isotopy(torus: FlatTorus, steps: int = 50) -> Isotopy:
-    times = np.linspace(0.0, 1.0, steps + 1)
-    stack = np.zeros((steps + 1, torus.dim) + torus.shape)
-    gen = None
-    if torus.symplectic:
-        gen = GeneratorPair(
-            times, np.zeros((steps + 1,) + torus.shape), np.zeros((steps + 1, torus.dim))
-        )
-    return Isotopy(torus, times, stack, kind="harmonic", gen=gen)
+    """The constant identity path: the :func:`translation_path` of zero shifts."""
+    zero = np.zeros((steps + 1, torus.dim))
+    return translation_path(torus, np.linspace(0.0, 1.0, steps + 1), zero, zero)

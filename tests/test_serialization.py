@@ -40,16 +40,23 @@ class TestRoundTrip:
 
     def test_generator_survives_the_roundtrip(self, torus, ham_shear, trans_loop,
                                               tmp_path):
-        from torusflux import Isotopy
+        from torusflux import Isotopy, harmonic_isotopy
         from torusflux.hofer import inverse_lengths, lengths
         from torusflux.paths import concat_left
 
-        # provenance route (field generator stored) and attached trace
-        for iso in (ham_shear, concat_left(trans_loop, ham_shear, with_generator=True)):
+        def coeffs(t):
+            return np.array([0.3 * np.cos(2 * np.pi * t), 0.1])
+
+        # provenance route (field generator stored) and attached trace; the
+        # translation paths' stacks are broadcast views, stored dense
+        for iso in (ham_shear, concat_left(trans_loop, ham_shear, with_generator=True),
+                    trans_loop, harmonic_isotopy(torus, coeffs, 100)):
             path = tmp_path / "iso.npz"
             save_isotopy(iso, path)
             back = load_isotopy(path)
             assert back.gen is not None and back.provenance is None
+            assert np.array_equal(back.disp, iso.disp)
+            assert np.array_equal(np.signbit(back.disp), np.signbit(iso.disp))
             for measure in (lengths, inverse_lengths):
                 a, b = measure(iso), measure(back)
                 assert np.array_equal(a.times, b.times)
