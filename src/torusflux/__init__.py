@@ -19,7 +19,6 @@ from .torus import (
     sup_norm,
     torus_displacement,
     torus_distance,
-    wrap,
 )
 from .flows import (
     ConservativityReport,

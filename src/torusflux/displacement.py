@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import GridMap, Isotopy, flow_tolerance, inverse
-from .flux import flux_class, orbit_of
+from .flux import flux_class, orbit_of, pullback_difference, winding
 from .torus import (
     FlatTorus,
     OneForm,
@@ -53,12 +53,6 @@ class DisplacementField:
 
     def mean(self) -> float:
         return integrate(self.torus, self.samples)
-
-
-def pullback_difference(psi: GridMap, form: OneForm) -> np.ndarray:
-    """Componentwise samples of ``psi^* alpha - alpha``."""
-    comps = form.samples()
-    return psi.pullback(comps) - comps
 
 
 def displacement(
@@ -133,17 +127,16 @@ def base_point_transfer_residual(
         or torus_distance(connector[-1], gamma[0]) > 1e-9
     ):
         raise ValueError("connector must run from xi(0) to gamma(0)")
-    loop_delta = (xi[-1] - xi[0]) - (gamma[-1] - gamma[0]) - (connector[-1] - connector[0])
-    winding = np.rint(loop_delta).astype(int)
-    if np.abs(loop_delta - winding).max() > 1e-6:
-        raise ValueError("concatenated loop does not close on the torus")
+    loop = winding(
+        (xi[-1] - xi[0]) - (gamma[-1] - gamma[0]) - (connector[-1] - connector[0]), 1e-6
+    )
     beta = pullback_difference(psi, form)
     vals = [
         integrate_form_along_path(torus, beta, path)
         for path in (xi, gamma, connector)
     ]
     residual = abs(vals[0] - vals[1] - vals[2])
-    return TransferReport(residual, winding, hypothesis_met=not np.any(winding))
+    return TransferReport(residual, loop, hypothesis_met=not np.any(loop))
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +175,8 @@ def energy(psi: GridMap, coeffs, p) -> EnergyValue:
 def energy_via_isotopy(isotopy: Isotopy, coeffs, p) -> EnergyValue:
     """Energy with its flux-pairing / orbit-integral decomposition attached."""
     coeffs = np.asarray(coeffs, dtype=float)
-    norm = harmonic_norm(coeffs)
-    if norm == 0.0:
-        raise ValueError("energy requires a nonzero harmonic form")
     e = energy(isotopy.time_one(), coeffs, p)
+    norm = harmonic_norm(coeffs)
     fc = flux_class(isotopy)
     pairing = poincare_pair(coeffs, fc) / norm
     orbit = orbit_of(isotopy, np.asarray(p, dtype=float))

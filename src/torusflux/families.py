@@ -192,7 +192,6 @@ def random_conservative_isotopy(
         make = x_shear_field if kind == "x-shear" else y_shear_field
         return flow(make(torus, g), steps)
     if kind == "translation":
-        v = rng.uniform(-0.7, 0.7, size=torus.dim)
-        return flow(constant_field(torus, v), steps)
+        return translation_isotopy(torus, steps, rng.uniform(-0.7, 0.7, size=torus.dim))
     ham = TrigHamiltonian(torus, rng, amplitude=rng.uniform(0.05, 0.2))
     return flow(ham.field(), steps)

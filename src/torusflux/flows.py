@@ -519,16 +519,17 @@ def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray | None) -> np.n
 
     ``keep`` holds increasing step indices of the uniform K-step grid (None:
     all of them); only those slices are stored, after the same K steps, so
-    each is bitwise the slice :func:`flow` stores.  A field of
-    kind ``harmonic`` is validated (it must be spatially constant) and its
-    flow is a translation: the orbit of the origin is integrated once and
-    its lifted shift broadcast to the grid (:func:`translation_stack`).
+    each is bitwise the slice :func:`flow` stores.  The field's kind tag is
+    validated first (:meth:`TimeField.validate`).  A field of kind
+    ``harmonic`` is spatially constant, so its flow is a translation: the
+    orbit of the origin is integrated once and its lifted shift broadcast to
+    the grid (:func:`translation_stack`).
     """
     torus = x_field.torus
     if steps < 50:
         raise ValueError(f"steps must be >= 50, got {steps}")
+    x_field.validate()
     if x_field.kind == "harmonic":
-        x_field.validate()
         shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps, keep)
         return translation_stack(torus, shift[:, 0])
     traj = integrate_trajectories(x_field, torus.points, steps, keep)

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import translation_loop
 from .flows import (
     GridMap,
     Isotopy,
     PeriodicInterp,
     TimeField,
+    c0_distance,
     contract_field_to_coeffs,
+    flow,
     flow_slices,
     flow_tolerance,
     integrate_trajectories,
@@ -36,6 +39,8 @@ from .torus import (
     FluxClass,
     OneForm,
     eval_spectral,  # noqa: F401  (perfbench/test_perfbench.py checks this binding)
+    grad,
+    integrate,
     line_integral,
     poincare_pair,
     torus_distance,
@@ -68,25 +73,31 @@ class Orbit:
 
     def winding(self, tol: float = 1e-6) -> np.ndarray:
         """Integer winding vector; valid for orbits of loops."""
-        delta = self.displacement
-        rounded = np.rint(delta)
-        if np.abs(delta - rounded).max() > tol:
-            raise ValueError(
-                f"orbit is not closed: lift displacement {delta} is not integral"
-            )
-        return rounded.astype(int)
+        return winding(self.displacement, tol)
 
 
-def orbit_of(isotopy: Isotopy, x, reintegrate: bool = True) -> Orbit:
+def winding(delta: np.ndarray, tol: float) -> np.ndarray:
+    """The integers ``delta`` rounds to: the winding of a closed lifted cycle.
+
+    Raises unless every entry is within ``tol`` of an integer, i.e. unless
+    the cycle closes on the torus.
+    """
+    rounded = np.rint(delta)
+    if np.abs(delta - rounded).max() > tol:
+        raise ValueError(f"cycle is not closed: lift displacement {delta} is not integral")
+    return rounded.astype(int)
+
+
+def orbit_of(isotopy: Isotopy, x) -> Orbit:
     """Orbits of a point or a point batch (..., d).
 
-    With ``reintegrate`` the provenance field, if any, is re-integrated,
-    which gives RK4-accurate off-grid orbits; otherwise the lifted
-    displacement field is interpolated.
+    The provenance field, if any, is re-integrated, which gives RK4-accurate
+    off-grid orbits; otherwise the lifted displacement field is
+    interpolated.
     """
     x = np.asarray(x, dtype=float)
     pts = x.reshape(-1, isotopy.torus.dim)
-    if reintegrate and isotopy.provenance is not None:
+    if isotopy.provenance is not None:
         traj = integrate_trajectories(isotopy.provenance, pts, isotopy.steps)
     else:
         traj = isotopy.eval_orbit(pts)
@@ -109,21 +120,32 @@ def flux_function(form: OneForm, isotopy: Isotopy, t: float) -> np.ndarray:
         raise ValueError(f"time {t} outside [0, 1]")
     if form.coexact_sup > 1e-8:
         raise ValueError("flux function requires a closed form")
-    phi = isotopy.map_at(t)
-    out = np.tensordot(form.harmonic, phi.disp, axes=(0, 0))
-    if np.any(form.potential):
-        out = out + phi.compose_field(form.potential) - form.potential
+    potential = form.potential if np.any(form.potential) else None
+    return _flux_of_map(form, isotopy.map_at(t), potential)
+
+
+def _flux_of_map(form: OneForm, g: GridMap, potential) -> np.ndarray:
+    """``c . lift(g) + F o g - F`` for the closed form ``c . dx + dF``.
+
+    ``potential`` is what ``g.compose_field`` reads for F (its samples or
+    their spline), or None when F vanishes.
+    """
+    out = np.tensordot(form.harmonic, g.disp, axes=(0, 0))
+    if potential is not None:
+        out = out + g.compose_field(potential) - form.potential
     return out
+
+
+def pullback_difference(psi: GridMap, form: OneForm) -> np.ndarray:
+    """Componentwise samples of ``psi^* alpha - alpha``."""
+    comps = form.samples()
+    return psi.pullback(comps) - comps
 
 
 def flux_pde_residual(form: OneForm, isotopy: Isotopy, t: float) -> float:
     """Sup residual of ``d(flux function) = phi_t^* alpha - alpha`` at time t."""
-    from .torus import grad
-
-    torus = isotopy.torus
-    lhs = grad(torus, flux_function(form, isotopy, t))
-    phi = isotopy.map_at(t)
-    rhs = phi.pullback(form.samples()) - form.samples()
+    lhs = grad(isotopy.torus, flux_function(form, isotopy, t))
+    rhs = pullback_difference(isotopy.map_at(t), form)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -160,15 +182,12 @@ def cocycle_residual(phi: Isotopy, psi: Isotopy, form: OneForm) -> float:
     torus = phi.torus
     ks = np.unique(np.linspace(0, phi.steps, 21).astype(int))
     worst = 0.0
-    pot = form.potential if np.any(form.potential) else None
-    pot_interp = PeriodicInterp(torus, pot) if pot is not None else None
+    pot_interp = PeriodicInterp(torus, form.potential) if np.any(form.potential) else None
     for k in ks:
         t = float(phi.times[k])
         psi_k = GridMap(torus, psi.disp[k])
         composed = GridMap(torus, phi.disp[k]).compose(psi_k, spectral=False)
-        lhs = np.tensordot(form.harmonic, composed.disp, axes=(0, 0))
-        if pot_interp is not None:
-            lhs = lhs + composed.compose_field(pot_interp) - pot
+        lhs = _flux_of_map(form, composed, pot_interp)
         term_psi = flux_function(form, psi, t)
         pulled = psi_k.compose_field(flux_function(form, phi, t))
         worst = max(worst, float(np.abs(lhs - term_psi - pulled).max()))
@@ -190,15 +209,12 @@ def factorization1_check(
     ``< class(alpha_t), flux of the partial path up to t >``.
     Returns (t, lhs, rhs, |lhs - rhs|) tuples.
     """
-    from .torus import integrate
-
     torus = isotopy.torus
     out = []
     for t in ts:
         form = form_of_t(t)
         lhs = integrate(torus, flux_function(form, isotopy, t))
-        partial_pairings = isotopy.disp_at(float(t)).reshape(torus.dim, -1).mean(axis=1)
-        rhs = poincare_pair(form.harmonic, partial_pairings)
+        rhs = poincare_pair(form.harmonic, _flux_class_at(torus, isotopy.disp_at(float(t))))
         out.append((float(t), float(lhs), float(rhs), abs(float(lhs) - float(rhs))))
     return out
 
@@ -350,28 +366,21 @@ def flux_equality_via_orbits(phi: Isotopy, psi: Isotopy, z0) -> OrbitFluxVerdict
 
     The difference 1-cycle of the two orbits through z0 is contractible on
     the torus iff its winding vector vanishes; in that case the flux classes
-    must agree within tolerance.
+    must agree within tolerance.  An orbit's lifted displacement is its
+    time-one image minus z0, so the winding is read from the two lifted
+    time-one images alone; both are interpolated, so the off-grid
+    evaluation error cancels in the difference.
     """
     torus = phi.torus
     z0 = np.asarray(z0, dtype=float)
-    end_gap = torus_distance(
-        GridMap(torus, phi.disp[-1]).apply(z0),
-        GridMap(torus, psi.disp[-1]).apply(z0),
-    )
-    if float(end_gap) > 1e-6:
+    end_phi = phi.time_one().apply(z0)
+    end_psi = psi.time_one().apply(z0)
+    if float(torus_distance(end_phi, end_psi)) > 1e-6:
         raise ValueError("isotopies do not share endpoints at z0")
-    # interpolate both lifts so the off-grid evaluation error cancels in
-    # the difference
-    o_phi = orbit_of(phi, z0, reintegrate=False).displacement
-    o_psi = orbit_of(psi, z0, reintegrate=False).displacement
-    diff = o_psi - o_phi
-    rounded = np.rint(diff)
-    if np.abs(diff - rounded).max() > 1e-6:
-        raise ValueError("difference cycle winding is not integral")
-    winding = rounded.astype(int)
+    cycle = winding((end_psi - z0) - (end_phi - z0), 1e-6)
     return OrbitFluxVerdict(
-        winding_difference=winding,
-        contractible=not np.any(winding),
+        winding_difference=cycle,
+        contractible=not np.any(cycle),
         flux_phi=flux_class(phi).pairings,
         flux_psi=flux_class(psi).pairings,
         tolerance=flow_tolerance(torus.grid_res, 10.0),
@@ -403,18 +412,17 @@ def order_cycle_test(phi: Isotopy, order: int) -> OrderCycleReport:
     flux vanishes iff the cycle is contractible.  The cycle is the orbit of
     the origin.
     """
-    from .paths import iterate
+    from .paths import iterate  # at module level: package import ~5 % slower
 
     torus = phi.torus
     end = GridMap(torus, phi.disp[-1])
     if end.power(order).c0_distance() > 1e-6:
         raise ValueError(f"time-one map is not of order {order} within 1e-06")
     loop = iterate(phi, order)
-    cycle = orbit_of(loop, np.zeros(torus.dim), reintegrate=False)
-    winding = cycle.winding(tol=1e-5)
+    cycle = orbit_of(loop, np.zeros(torus.dim)).winding(tol=1e-5)
     fc = flux_class(phi).pairings
-    relation = float(np.abs(fc - winding / order).max())
-    return OrderCycleReport(order, winding, fc, relation, 1e-6)
+    relation = float(np.abs(fc - cycle / order).max())
+    return OrderCycleReport(order, cycle, fc, relation, 1e-6)
 
 
 @dataclass(frozen=True)
@@ -441,14 +449,11 @@ def rigidity_experiment(
     Verifies the hypotheses (each member has vanishing flux class, distances
     to the limit decrease to zero) and reports the winding vectors of the
     limit loop's orbits at the sample points; hypothesis failure produces a
-    flagged report rather than an error.
+    flagged report rather than an error.  A limit path whose sampled orbits
+    do not close (not a loop) raises.
     """
-    from .flows import c0_distance
-
     torus = limit_loop.torus
-    flux_norms = np.array(
-        [flux_class(m).norm() for m in sequence]
-    )
+    flux_norms = np.array([flux_class(m).norm() for m in sequence])
     distances = np.array([c0_distance(m, limit_loop) for m in sequence])
     decreasing = len(sequence) < 2 or distances[-1] <= distances[0] + 1e-12
     hypothesis_ok = bool(np.all(flux_norms <= 1e-6) and decreasing)
@@ -457,8 +462,7 @@ def rigidity_experiment(
     if sample_points is None:
         rng = np.random.default_rng(0)
         sample_points = rng.uniform(size=(16, torus.dim))
-    orbits = orbit_of(limit_loop, np.atleast_2d(sample_points))
-    windings = np.rint(orbits.displacement).astype(int)
+    windings = orbit_of(limit_loop, np.atleast_2d(sample_points)).winding()
     return RigidityReport(True, flux_norms, distances, windings)
 
 
@@ -469,14 +473,8 @@ def rigidity_experiment(
 
 def flux_lattice(torus: FlatTorus, steps: int = 50) -> np.ndarray:
     """Generators of the loop-flux lattice: one coordinate loop per row."""
-    from .families import translation_loop
-
-    rows = []
-    for i in range(torus.dim):
-        winding = [0] * torus.dim
-        winding[i] = 1
-        rows.append(flux_class(translation_loop(torus, steps, winding)).pairings)
-    return np.stack(rows)
+    return np.stack([flux_class(translation_loop(torus, steps, unit)).pairings
+                     for unit in np.eye(torus.dim)])
 
 
 def scaled_to_target(field, form: OneForm, target: float, steps: int) -> Isotopy:
@@ -485,9 +483,6 @@ def scaled_to_target(field, form: OneForm, target: float, steps: int) -> Isotopy
     With ``lam = target / integral(alpha(X))`` the flow of ``lam X`` pairs to
     exactly the target; realizes surjectivity of the flux pairing.
     """
-    from .flows import TimeField, flow
-    from .torus import integrate
-
     torus = field.torus
     samples = field.sample(0.0)
     pairing = integrate(

@@ -3,9 +3,10 @@
 Concatenations run the first path during [0, 1/2] and the second during
 [1/2, 1], each reparametrized through a smooth cutoff f that is identically
 0 near 0 and identically 1 near 1, via lambda(t) = f(2t) and
-tau(t) = f(2t - 1).  The flat ends make the glued path smooth in time and
-the slope of f controls how the sup-in-time length of a concatenation
-relates to those of its pieces.
+tau(t) = f(2t - 1); :meth:`CutoffFunction.half` is the one place that
+writes each half's warp and its rate.  The flat ends make the glued path
+smooth in time and the slope of f controls how the sup-in-time length of a
+concatenation relates to those of its pieces.
 
 The cutoff is a mollified ramp: a clamped linear ramp convolved with a
 compactly supported bump, sampled densely.  The flat width delta may be at
@@ -66,13 +67,14 @@ class CutoffFunction:
         flat = (t <= self.delta) | (t >= 1.0 - self.delta)
         return np.where(flat, 0.0, inner)
 
-    def lam(self, t) -> np.ndarray:
-        """First-half reparametrization lambda(t) = f(2t)."""
-        return self.value(2.0 * np.asarray(t, dtype=float))
+    def half(self, t, second: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Warp and rate ``(f(2t - s), 2 f'(2t - s))`` of a concatenation half.
 
-    def tau(self, t) -> np.ndarray:
-        """Second-half reparametrization tau(t) = f(2t - 1)."""
-        return self.value(2.0 * np.asarray(t, dtype=float) - 1.0)
+        s = 0 gives lambda(t) = f(2t) of the first half, s = 1 (``second``)
+        tau(t) = f(2t - 1) of the second.
+        """
+        u = 2.0 * np.asarray(t, dtype=float) - float(second)
+        return self.value(u), 2.0 * self.deriv(u)
 
 
 def make_cutoff(delta: float = 1.0 / 32.0) -> CutoffFunction:
@@ -173,10 +175,9 @@ def _concat_generator(
     torus = first.torus
     u = np.empty((len(times),) + torus.shape)
     h = np.empty((len(times), torus.dim))
-    lo, hi = times[: half + 1], times[half + 1 :]
-    _reparam_generator(first, f.lam(lo), 2.0 * f.deriv(2.0 * lo),
+    _reparam_generator(first, *f.half(times[: half + 1], False),
                        u[: half + 1], h[: half + 1])
-    _reparam_generator(second, f.tau(hi), 2.0 * f.deriv(2.0 * hi - 1.0),
+    _reparam_generator(second, *f.half(times[half + 1 :], True),
                        u[half + 1 :], h[half + 1 :],
                        through=None if left else first_1.inverse())
     return GeneratorPair(times.copy(), u, h)
@@ -234,12 +235,14 @@ def _concat(
     k = len(times) - 1
     half = k // 2
     stack = np.empty((k + 1, torus.dim) + torus.shape)
-    for j in range(half + 1):
-        stack[j] = first.disp_at(float(f.lam(times[j])))
+    lam, _ = f.half(times[: half + 1], False)
+    for j, s in enumerate(lam):
+        stack[j] = first.disp_at(float(s))
     end = first.time_one()
     previous = None
-    for j in range(half, k + 1):
-        second_tau = second.map_at(float(f.tau(times[j])))
+    tau, _ = f.half(times[half:], True)
+    for j, s in enumerate(tau, start=half):
+        second_tau = second.map_at(float(s))
         if is_repeat(second_tau.disp, previous):
             stack[j] = stack[j - 1]
             continue
@@ -353,13 +356,12 @@ def reparametrized(
     k = steps if steps is not None else phi.steps
     times = np.linspace(0.0, 1.0, k + 1)
     stack = np.empty((k + 1, torus.dim) + torus.shape)
-    for i, t in enumerate(times):
-        w = float(np.clip(warp(t), 0.0, 1.0))
-        stack[i] = phi.disp_at(w)
+    warped = np.clip([warp(t) for t in times], 0.0, 1.0)
+    for i, w in enumerate(warped):
+        stack[i] = phi.disp_at(float(w))
     stack[0] = 0.0
     gen = None
     if warp_deriv is not None:
-        warped = np.clip([warp(t) for t in times], 0.0, 1.0)
         rates = np.maximum([warp_deriv(t) for t in times], 0.0)
         u = np.empty((k + 1,) + torus.shape)
         h = np.empty((k + 1, torus.dim))

@@ -178,7 +178,7 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
         phi = random_conservative_isotopy(torus, rng, config.steps)
         psi = random_conservative_isotopy(torus, rng, config.steps)
         end = phi.time_one().compose(psi.time_one())
-        combined = end.disp.reshape(torus.dim, -1).mean(axis=1)
+        combined = flux_mod._flux_class_at(torus, end.disp).pairings
         parts = (
             flux_mod.flux_class(phi).pairings
             + flux_mod.flux_class(psi).pairings
@@ -467,15 +467,11 @@ def scenario_deformation(bench: Workbench) -> tuple[list[ReportRow], dict]:
     out = _Timer()
 
     for idx, c in enumerate((0.1, 0.5, 2.0)):
-        fam = hofer_mod.mcduff_deformation(
-            torus, lambda t, c=c: np.array([c * np.cos(2 * np.pi * t)]
-                                           + [0.0] * (torus.dim - 1)),
-        )
-        refined = hofer_mod.mcduff_deformation(
-            torus, lambda t, c=c: np.array([c * np.cos(2 * np.pi * t)]
-                                           + [0.0] * (torus.dim - 1)),
-            s_res=128, t_res=128,
-        )
+        def loop_coeffs(t):
+            return np.array([c * np.cos(2 * np.pi * t)] + [0.0] * (torus.dim - 1))
+
+        fam = hofer_mod.mcduff_deformation(torus, loop_coeffs)
+        refined = hofer_mod.mcduff_deformation(torus, loop_coeffs, s_res=128, t_res=128)
         margin = min(fam.slope_margin(), refined.slope_margin())
         out.add(f"deform-0{idx + 1}-slope-c{c}", "deformation slope bound",
                 -margin, 0.0)

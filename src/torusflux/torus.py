@@ -182,11 +182,6 @@ def solve_poisson(torus: FlatTorus, rhs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def wrap(points: np.ndarray) -> np.ndarray:
-    """Reduce coordinates to the fundamental domain [0, 1)."""
-    return np.asarray(points, dtype=float) % 1.0
-
-
 def torus_displacement(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Minimal-lift representative of q - p, componentwise in [-1/2, 1/2)."""
     delta = np.asarray(q, dtype=float) - np.asarray(p, dtype=float)

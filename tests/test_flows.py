@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torusflux import (
+    FlatTorus,
     GridMap,
     InversionError,
     Isotopy,
@@ -69,24 +70,32 @@ class TestFlow:
             flow(TimeField(torus, lambda t, p: np.full_like(p, np.inf)), 60)
 
 
+def _compressing(t, p):
+    out = np.zeros_like(p)
+    out[..., 0] = np.sin(2 * np.pi * p[..., 0])
+    return out
+
+
 class TestHamiltonianField:
     def test_divergence_free(self, torus, rng):
         ham = TrigHamiltonian(torus, rng)
         assert ham.field().divergence_residual() < 1e-10
 
     def test_kind_tag_validation(self, torus):
-        def bad(t, p):
-            out = np.zeros_like(p)
-            out[..., 0] = np.sin(2 * np.pi * p[..., 0])
-            return out
-
         with pytest.raises(ValueError):
-            TimeField(torus, bad, "conservative").validate()
+            TimeField(torus, _compressing, "conservative").validate()
         with pytest.raises(ValueError):
             TimeField(torus, lambda t, p: np.sin(
                 2 * np.pi * p[..., ::-1]
             ), "harmonic").validate()
         TimeField(torus, lambda t, p: np.full_like(p, 0.3), "harmonic").validate()
+
+    def test_flow_checks_every_divergence_free_tag(self, torus):
+        for kind in ("conservative", "symplectic", "hamiltonian"):
+            with pytest.raises(ValueError, match="divergence"):
+                flow(TimeField(torus, _compressing, kind), 50)
+        # a general field carries no claim to check
+        assert flow(TimeField(torus, _compressing, "general"), 50).kind == "general"
 
 
 class TestVelocityAndGenerator:
@@ -108,6 +117,17 @@ class TestVelocityAndGenerator:
         expected -= expected.mean()
         assert np.abs(gen.H).max() < 1e-10
         assert np.abs(gen.U - expected).max() < 1e-10
+
+    @pytest.mark.parametrize("dim, n", [(2, 32), (4, 8)])
+    def test_trig_hamiltonian_generator_is_its_value(self, dim, n):
+        # oracle: the field of H has the generator U_t = H - mean(H),
+        # H_t = 0; on T^4 this checks the sign over both symplectic pairs
+        torus = FlatTorus(dim, n, symplectic=True)
+        ham = TrigHamiltonian(torus, np.random.default_rng(5))
+        gen = generator_of(flow(ham.field(), 50))
+        value = ham.value(torus.points).reshape(torus.shape)
+        assert np.abs(gen.U - (value - value.mean())).max() < 1e-14
+        assert np.abs(gen.H).max() < 1e-14
 
     def test_identity_generator(self, torus):
         from torusflux import identity_isotopy

@@ -5,13 +5,14 @@ from torusflux import FlatTorus, OneForm, integrate, poincare_pair
 from torusflux.families import (
     TrigHamiltonian,
     hamiltonian_loop,
+    hamiltonian_shear,
     random_conservative_isotopy,
     shear_profile,
     translation_isotopy,
     x_shear_field,
     y_shear_field,
 )
-from torusflux.flows import TimeField, flow, identity_isotopy, verify_conservative
+from torusflux.flows import Isotopy, TimeField, flow, identity_isotopy, verify_conservative
 from torusflux.flux import (
     cocycle_residual,
     factorization1_check,
@@ -307,6 +308,21 @@ class TestOrbitCriterion:
         gap = verdict.flux_psi - verdict.flux_phi
         assert np.abs(gap - [1.0, 0.0]).max() < 1e-6
 
+    def test_reads_no_orbit_path(self, torus, shear, monkeypatch):
+        # the winding comes from the two lifted time-one images alone
+        other = concat_right(shear, hamiltonian_loop(torus, shear.steps))
+        calls = []
+        real = Isotopy.eval_orbit
+
+        def counting(iso, x):
+            calls.append(iso)
+            return real(iso, x)
+
+        monkeypatch.setattr(Isotopy, "eval_orbit", counting)
+        verdict = flux_equality_via_orbits(shear, other, (0.3, 0.7))
+        assert verdict.contractible and verdict.fluxes_equal
+        assert calls == []
+
     def test_endpoint_mismatch(self, torus, shear, trans_loop):
         with pytest.raises(ValueError):
             flux_equality_via_orbits(shear, trans_loop, (0.3, 0.7))
@@ -365,6 +381,14 @@ class TestRigidity:
                                      sample_points=np.array([[0.2, 0.6]]))
         assert report.hypothesis_ok
         assert report.all_contractible
+
+
+    def test_limit_path_that_is_not_a_loop_raises(self):
+        # flux zero and the hypotheses hold, but the orbit through
+        # (0.2, 0.6) ends -sin(1.2 pi) = 0.95 away from where it started
+        path = hamiltonian_shear(FlatTorus(2, 16, symplectic=True), 60)
+        with pytest.raises(ValueError, match="not closed"):
+            rigidity_experiment([path], path, sample_points=[[0.2, 0.6]])
 
 
 class TestLatticeAndSurjectivity:

@@ -34,6 +34,16 @@ class TestCutoff:
         assert cut.value(1.0 / 64.0) == 0.0  # flat end at delta/2
         assert cut.value(1.0 - 1.0 / 64.0) == 1.0
 
+    def test_half_is_the_shifted_value_and_twice_the_slope(self):
+        f = default_cutoff()
+        t = np.linspace(0.0, 1.0, 401)
+        for second, u in ((False, 2.0 * t), (True, 2.0 * t - 1.0)):
+            warp, rate = f.half(t, second)
+            assert np.array_equal(warp, f.value(u))
+            assert np.array_equal(rate, 2.0 * f.deriv(u))
+            # one array call gives the per-slice scalar values bit for bit
+            assert np.array_equal(warp, [float(f.value(s)) for s in u])
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             make_cutoff(0.0)
@@ -88,7 +98,7 @@ class TestConcat:
         tr = translation_isotopy(torus, 100, (0.25, 0.1))
         glued = concat_right(shear, tr)
         p = np.array([0.2, 0.4])
-        got = orbit_of(glued, p, reintegrate=False)
+        got = orbit_of(glued, p)
         g = shear_profile(1.0)
         mid = got.path[len(got.times) // 2]
         assert np.abs(mid - (p + np.array([g(0.4), 0.0]))).max() < 1e-6
@@ -99,7 +109,7 @@ class TestConcat:
         tr = translation_isotopy(torus, 100, (0.25, 0.1))
         glued = concat_left(tr, shear)
         p = np.array([0.2, 0.4])
-        got = orbit_of(glued, p, reintegrate=False)
+        got = orbit_of(glued, p)
         g = shear_profile(1.0)
         shear_end = p + np.array([g(0.4), 0.0])
         mid = got.path[len(got.times) // 2]
@@ -145,7 +155,7 @@ class TestIterate:
 
     def test_triple_loop_winding(self, torus, trans_loop):
         it = iterate(trans_loop, 3)
-        orbit = orbit_of(it, np.array([0.3, 0.3]), reintegrate=False)
+        orbit = orbit_of(it, np.array([0.3, 0.3]))
         assert tuple(orbit.winding()) == (3, 0)
 
     def test_negative_power_endpoint(self, torus, shear):
@@ -206,9 +216,9 @@ class TestRepeatedSlices:
         end = phi.time_one()
         stack = np.empty((steps + 1, 2) + phi.torus.shape)
         for k in range(half + 1):
-            stack[k] = phi.disp_at(float(f.lam(times[k])))
+            stack[k] = phi.disp_at(float(f.value(2.0 * times[k])))
         for k in range(half, steps + 1):
-            psi_tau = psi.map_at(float(f.tau(times[k])))
+            psi_tau = psi.map_at(float(f.value(2.0 * times[k] - 1.0)))
             glued = (psi_tau.compose(end, spectral=False) if glue_left
                      else end.compose(psi_tau, spectral=False))
             stack[k] = glued.disp
@@ -219,9 +229,9 @@ class TestRepeatedSlices:
         H = np.empty((steps + 1, 2))
         for k, t in enumerate(times):
             if k <= half:
-                gen, s, rate = gen_phi, f.lam(t), 2.0 * f.deriv(2.0 * t)
+                gen, s, rate = gen_phi, f.value(2.0 * t), 2.0 * f.deriv(2.0 * t)
             else:
-                gen, s, rate = gen_psi, f.tau(t), 2.0 * f.deriv(2.0 * t - 1.0)
+                gen, s, rate = gen_psi, f.value(2.0 * t - 1.0), 2.0 * f.deriv(2.0 * t - 1.0)
             u = interp_time(gen.times, gen.U, float(s))
             h = interp_time(gen.times, gen.H, float(s))
             H[k] = rate * h

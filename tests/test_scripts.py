@@ -253,3 +253,20 @@ def test_benchmark_worker_setup_probe(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads((tmp_path / "result.json").read_text())["setup_s"] > 0
+
+
+def test_code_size_counts_lines_and_settable_values(tmp_path):
+    # settable: y=1, z=2 and q=3 (defaults), a: int = 0 (annotated field);
+    # not w (no default), b (no value) or c (not annotated)
+    (tmp_path / "a.py").write_text(
+        "def f(x, y=1, *, z=2, w):\n    return lambda q=3: q\n\n\n"
+        "class C:\n    a: int = 0\n    b: int\n    c = 5\n")
+    (tmp_path / "b.txt").write_text("not python\n")
+    script = str(SCRIPTS / "code_size.py")
+    result = subprocess.run([sys.executable, script, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["lines", "8", "settable", "4"]
+    result = subprocess.run([sys.executable, script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert [int(n) for n in result.stdout.split()[1::2]] > [0, 0]
