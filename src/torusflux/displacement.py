@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flows import GridMap, Isotopy, flow_tolerance, inverse
-from .flux import flux_class, orbit_of, pullback_difference, winding
+from .flux import flux_class, orbit_displacement, orbit_of, pullback_difference, winding
 from .torus import (
     FlatTorus,
     OneForm,
@@ -179,8 +179,7 @@ def energy_via_isotopy(isotopy: Isotopy, coeffs, p) -> EnergyValue:
     norm = harmonic_norm(coeffs)
     fc = flux_class(isotopy)
     pairing = poincare_pair(coeffs, fc) / norm
-    orbit = orbit_of(isotopy, np.asarray(p, dtype=float))
-    orbit_integral = float(coeffs @ orbit.displacement)
+    orbit_integral = float(coeffs @ orbit_displacement(isotopy, p))
     orbit_term = orbit_integral / norm
     return EnergyValue(e.value, coeffs, e.base, pairing, orbit_term)
 
@@ -231,9 +230,9 @@ def composition_defect(psi_iso: Isotopy, phi_iso: Isotopy, coeffs, p) -> DefectR
     defect = abs(e_comp - e_psi - e_phi)
     bound = 2.0
 
-    orbit_p = orbit_of(psi_iso, p).displacement
+    orbit_p = orbit_displacement(psi_iso, p)
     phi_p = (phi_map.apply(p[None, :])[0]) % 1.0
-    orbit_phi_p = orbit_of(psi_iso, phi_p).displacement
+    orbit_phi_p = orbit_displacement(psi_iso, phi_p)
     correction = float(coeffs @ (orbit_p - orbit_phi_p)) / norm
     exact_residual = abs(e_comp - e_psi - e_phi - correction)
     return DefectReport(defect, bound, exact_residual)
@@ -263,11 +262,11 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
 
     # first orbit term along the forward path for either sign; the sum runs
     # over the eps-branch orbits through the iterates of x
-    orbit_x = float(coeffs @ orbit_of(phi_iso, x).displacement)
+    orbit_x = float(coeffs @ orbit_displacement(phi_iso, x))
     total = 0.0
     point = x.copy()
     for _ in range(m):
-        total += float(coeffs @ orbit_of(base, point % 1.0).displacement)
+        total += float(coeffs @ orbit_displacement(base, point % 1.0))
         point = base_map.apply(point[None, :])[0]
     rhs = power * e_one + (power * orbit_x - total) / norm
     return abs(lhs - rhs)

@@ -383,6 +383,16 @@ class GeneratorPair:
         object.__setattr__(self, "U", np.asarray(self.U, dtype=float))
         object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
 
+    @classmethod
+    def from_slices(cls, times: np.ndarray, torus: FlatTorus, pairs) -> "GeneratorPair":
+        """The trace on ``times`` that the slices ``(U_k, H_k)`` make up."""
+        U = np.empty((len(times),) + torus.shape)
+        H = np.empty((len(times), torus.dim))
+        for k, (u, h) in enumerate(pairs):
+            U[k] = u
+            H[k] = h
+        return cls(times.copy(), U, H)
+
 
 # ---------------------------------------------------------------------------
 # time interpolation on a uniform grid
@@ -506,51 +516,64 @@ def flow(x_field: TimeField, steps: int) -> Isotopy:
     """Integrate a time-dependent field into an isotopy with lift tracking.
 
     Classical 4th-order one-step integration of every grid point over K
-    uniform steps on [0, 1] (:func:`flow_slices`); the identity at t = 0 is
-    exact (``p - p``, or the origin's zero shift).
-    """
-    stack = flow_slices(x_field, steps, None)
-    times = np.linspace(0.0, 1.0, steps + 1)
-    return Isotopy(x_field.torus, times, stack, kind=x_field.kind, provenance=x_field)
-
-
-def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray | None) -> np.ndarray:
-    """Lifted displacement slices of the flow, shape ``(len(keep), d) + grid``.
-
-    ``keep`` holds increasing step indices of the uniform K-step grid (None:
-    all of them); only those slices are stored, after the same K steps, so
-    each is bitwise the slice :func:`flow` stores.  The field's kind tag is
-    validated first (:meth:`TimeField.validate`).  A field of kind
-    ``harmonic`` is spatially constant, so its flow is a translation: the
-    orbit of the origin is integrated once and its lifted shift broadcast to
-    the grid (:func:`translation_stack`).
+    uniform steps on [0, 1]; the identity at t = 0 is exact (``p - p``, or
+    the origin's zero shift).  The field's kind tag is validated first
+    (:meth:`TimeField.validate`).  A field of kind ``harmonic`` is
+    spatially constant, so its flow is a translation: the orbit of the
+    origin is integrated once and its lifted shift broadcast to the grid
+    (:func:`translation_stack`).
     """
     torus = x_field.torus
+    _check_flow(x_field, steps)
+    if x_field.kind == "harmonic":
+        shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps)
+        stack = translation_stack(torus, shift[:, 0])
+    else:
+        traj = integrate_trajectories(x_field, torus.points, steps)
+        traj -= torus.points  # in place: no second (K+1, N^d, d) array
+        stack = np.moveaxis(traj, -1, 1).reshape((steps + 1, torus.dim) + torus.shape)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    return Isotopy(torus, times, stack, kind=x_field.kind, provenance=x_field)
+
+
+def _check_flow(x_field: TimeField, steps: int) -> None:
     if steps < 50:
         raise ValueError(f"steps must be >= 50, got {steps}")
     x_field.validate()
+
+
+def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray):
+    """Yield the flow's lifted displacement slices at the step indices ``keep``.
+
+    ``keep`` holds increasing indices of the uniform K-step grid.  Each
+    slice, shape ``(d,) + grid``, is yielded as soon as RK4 reaches it and
+    is bitwise the slice :func:`flow` stores; no stack is held.  A
+    ``harmonic`` field's slices are read-only broadcasts of the origin's
+    shift, as in :func:`flow`.
+    """
+    torus = x_field.torus
+    _check_flow(x_field, steps)
     if x_field.kind == "harmonic":
-        shift = integrate_trajectories(x_field, np.zeros((1, torus.dim)), steps, keep)
-        return translation_stack(torus, shift[:, 0])
-    traj = integrate_trajectories(x_field, torus.points, steps, keep)
-    traj -= torus.points  # in place: no second (K+1, N^d, d) array
-    return np.moveaxis(traj, -1, 1).reshape((len(traj), torus.dim) + torus.shape)
+        for shift in trajectory_slices(x_field, np.zeros((1, torus.dim)), steps, keep):
+            yield translation_stack(torus, shift)[0]
+        return
+    for p in trajectory_slices(x_field, torus.points, steps, keep):
+        yield (p - torus.points).T.reshape((torus.dim,) + torus.shape)
 
 
-def integrate_trajectories(
-    x_field: TimeField, points: np.ndarray, steps: int,
-    keep: np.ndarray | None = None,
-) -> np.ndarray:
-    """RK4 trajectories of a point set over [0, 1], shape (K+1, ..., d), lifted.
+def trajectory_slices(
+    x_field: TimeField, points: np.ndarray, steps: int, keep: np.ndarray | None,
+):
+    """Yield the lifted RK4 positions of a point set at the kept step indices.
 
-    With ``keep`` (increasing step indices) only those slices are stored,
-    shape ``(len(keep), ..., d)``; the K steps taken are the same.
+    ``keep`` holds increasing indices of the uniform K-step grid on [0, 1]
+    (None: all K + 1); every one of the K steps is taken.  Each position
+    array is yielded once and never written again.
     """
     p = np.array(points, dtype=float)
-    slot = {int(k): i for i, k in enumerate(range(steps + 1) if keep is None else keep)}
-    out = np.empty((len(slot),) + p.shape)
-    if 0 in slot:
-        out[slot[0]] = p
+    kept = set(range(steps + 1)) if keep is None else {int(k) for k in keep}
+    if 0 in kept:
+        yield p
     dt = 1.0 / steps
     for k in range(steps):
         t = k * dt
@@ -561,8 +584,23 @@ def integrate_trajectories(
         p = p + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.all(np.isfinite(p)):
             raise IntegrationError(f"non-finite flow values at t = {t + dt:.6f}")
-        if k + 1 in slot:
-            out[slot[k + 1]] = p
+        if k + 1 in kept:
+            yield p
+
+
+def integrate_trajectories(
+    x_field: TimeField, points: np.ndarray, steps: int,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """RK4 trajectories of a point set over [0, 1], shape (K+1, ..., d), lifted.
+
+    Stores what :func:`trajectory_slices` yields: with ``keep`` (increasing
+    step indices) only those slices, shape ``(len(keep), ..., d)``.
+    """
+    count = steps + 1 if keep is None else len(keep)
+    out = np.empty((count,) + np.shape(points))
+    for i, p in enumerate(trajectory_slices(x_field, points, steps, keep)):
+        out[i] = p
     return out
 
 
@@ -659,10 +697,26 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     so the chain follows the path continuously, and raises
     :class:`InversionError` when the slice folds over.  The forward slice's
     spline serves both the Newton solve and the displacement ``-u(pre)`` at
-    the preimages.  A translation slice is inverted exactly: its inverse
-    displacement is ``-disp[k]``.
+    the preimages; a translation slice is inverted exactly, as
+    ``-disp[k]``.  A path whose every slice is a translation (read from the
+    data, as :class:`GridMap` does) inverts to the translation path of the
+    negated shift, with +0.0 at slice 0: its stack is a
+    :func:`translation_stack` broadcast and its generator's function part
+    the exact 0.0 broadcast, so no ``(K+1, d) + grid`` array is written.
     """
     torus = isotopy.torus
+    exact_gen = torus.symplectic and (
+        isotopy.gen is not None or isotopy.provenance is not None
+    )
+    if all(GridMap(torus, disp)._shift is not None for disp in isotopy.disp):
+        shift = -isotopy.disp[(slice(None), slice(None)) + (0,) * torus.dim]
+        shift[0] = 0.0
+        gen = None
+        if exact_gen:
+            u = np.broadcast_to(0.0, (isotopy.steps + 1,) + torus.shape)
+            gen = GeneratorPair(isotopy.times.copy(), u, -generator_of(isotopy).H)
+        stack = translation_stack(torus, shift)
+        return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
     stack = np.empty_like(isotopy.disp)
     stack[0] = 0.0
     warm: np.ndarray | None = None
@@ -677,9 +731,7 @@ def inverse(isotopy: Isotopy) -> Isotopy:
             stack[k] = inv.disp
         else:
             stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
-    gen = None
-    if torus.symplectic and (isotopy.gen is not None or isotopy.provenance is not None):
-        gen = inverse_generator(isotopy)
+    gen = inverse_generator(isotopy) if exact_gen else None
     return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
 
 
@@ -699,19 +751,30 @@ def pullback_potential(
 def inverse_generator(isotopy: Isotopy) -> GeneratorPair:
     """Generator of the inverse path ``t -> phi_t^{-1}`` from the forward one.
 
-    The inverse path is generated by ``(-(U_t o phi_t + <H_t, lift_t>), -H_t)``
-    with the function part re-normalized to mean zero.  Only forward maps
+    Stores what :func:`inverse_generator_slices` yields.  Only forward maps
     are evaluated, so no slice is inverted when the forward generator is
     exact (an attached trace or a provenance field); otherwise
     :func:`generator_of` falls back to its data route.  Does not check that
     the slices are invertible.
     """
-    torus = isotopy.torus
     fwd = generator_of(isotopy)
-    U = np.empty((isotopy.steps + 1,) + torus.shape)
-    for k, disp in enumerate(isotopy.disp):
-        U[k] = pullback_potential(GridMap(torus, disp), fwd.U[k], fwd.H[k], -1.0)
-    return GeneratorPair(isotopy.times.copy(), U, -fwd.H)
+    maps = (GridMap(isotopy.torus, disp) for disp in isotopy.disp)
+    return GeneratorPair.from_slices(
+        isotopy.times, isotopy.torus,
+        inverse_generator_slices(maps, zip(fwd.U, fwd.H)),
+    )
+
+
+def inverse_generator_slices(maps, pairs):
+    """Yield the inverse path's generator slices from the forward ones.
+
+    ``maps`` are the forward maps phi_t and ``pairs`` the forward slices
+    ``(U_t, H_t)``; the inverse path is generated by ``(-(U_t o phi_t +
+    <H_t, lift_t>), -H_t)`` with the function part re-normalized to mean
+    zero (:func:`pullback_potential` at rate -1).
+    """
+    for g, (u, h) in zip(maps, pairs):
+        yield pullback_potential(g, u, h, -1.0), -h
 
 
 def compose_pointwise(phi: Isotopy, psi: Isotopy) -> Isotopy:

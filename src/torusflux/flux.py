@@ -18,6 +18,7 @@ the net integer lift displacement of a closed orbit is a complete invariant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -45,6 +46,9 @@ from .torus import (
     poincare_pair,
     torus_distance,
 )
+
+if TYPE_CHECKING:
+    from .paths import ConcatTrace
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +106,22 @@ def orbit_of(isotopy: Isotopy, x) -> Orbit:
     else:
         traj = isotopy.eval_orbit(pts)
     return Orbit(x, isotopy.times.copy(), traj.reshape(traj.shape[:1] + x.shape))
+
+
+def orbit_displacement(isotopy: Isotopy, x) -> np.ndarray:
+    """Lifted displacement ``orbit_of(isotopy, x).displacement`` of its endpoints.
+
+    Bitwise the orbit's, without the orbit: with a provenance field only
+    the first and last of the same K RK4 steps are stored; otherwise the
+    time-one map is applied, as slice 0 is the exact identity.
+    """
+    x = np.asarray(x, dtype=float)
+    if isotopy.provenance is not None:
+        pts = x.reshape(-1, isotopy.torus.dim)
+        ends = integrate_trajectories(
+            isotopy.provenance, pts, isotopy.steps, keep=[0, isotopy.steps])
+        return (ends[1] - ends[0]).reshape(x.shape)
+    return isotopy.time_one().apply(x) - x
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +289,9 @@ def factorization2_check(
     computed honestly as the cohomology class of the time integral of the
     pulled-back contraction, using orbit velocities from the field and
     spectral Jacobians, at ``time_samples`` indices of the K-step grid (all
-    by default).  The flow stores only the sampled slices
-    (:func:`~torusflux.flows.flow_slices`); the last one is the time-one
-    map.  The indices need not be evenly spaced, so the slices are not an
-    :class:`~torusflux.flows.Isotopy`.
+    by default).  Each sampled slice is read once, as the flow reaches it
+    (:func:`~torusflux.flows.flow_slices`), so no T^4 stack is held; the
+    last one is the time-one map.
     """
     torus = x_field.torus
     if torus.dim != 4 or not torus.symplectic:
@@ -282,18 +301,17 @@ def factorization2_check(
         if time_samples is None
         else np.unique(np.linspace(0, steps, time_samples).astype(int))
     )
-    slices = flow_slices(x_field, steps, ks)
     times = np.linspace(0.0, 1.0, steps + 1)[ks]
-    lhs = _flux_class_at(torus, slices[-1]).pairings
-
     means = np.empty((len(ks), torus.dim))
-    for row, (t, disp) in enumerate(zip(times, slices)):
+    for row, disp in enumerate(flow_slices(x_field, steps, ks)):
         slice_map = GridMap(torus, disp)
-        vel = x_field(t, slice_map.image_points()).T.reshape((torus.dim,) + torus.shape)
+        vel = x_field(times[row], slice_map.image_points())
+        vel = vel.T.reshape((torus.dim,) + torus.shape)
         pulled = np.einsum(
             "ji...,j...->i...", slice_map.jacobian(), contract_field_to_coeffs(vel)
         )
         means[row] = pulled.reshape(torus.dim, -1).mean(axis=1)
+    lhs = _flux_class_at(torus, disp).pairings  # the last slice: the time-one map
     omega_flux = np.trapezoid(means, times, axis=0)
 
     pairs = _symplectic_pairs(torus.dim)
@@ -361,7 +379,8 @@ class OrbitFluxVerdict:
         return self.fluxes_equal if self.contractible else True
 
 
-def flux_equality_via_orbits(phi: Isotopy, psi: Isotopy, z0) -> OrbitFluxVerdict:
+def flux_equality_via_orbits(phi: Isotopy | ConcatTrace, psi: Isotopy | ConcatTrace,
+                             z0) -> OrbitFluxVerdict:
     """Equal endpoints + contractible difference cycle => equal fluxes.
 
     The difference 1-cycle of the two orbits through z0 is contractible on
@@ -369,7 +388,9 @@ def flux_equality_via_orbits(phi: Isotopy, psi: Isotopy, z0) -> OrbitFluxVerdict
     must agree within tolerance.  An orbit's lifted displacement is its
     time-one image minus z0, so the winding is read from the two lifted
     time-one images alone; both are interpolated, so the off-grid
-    evaluation error cancels in the difference.
+    evaluation error cancels in the difference.  The flux classes are read
+    from the time-one maps too, so either path may be a
+    :func:`~torusflux.paths.concat_trace` replay.
     """
     torus = phi.torus
     z0 = np.asarray(z0, dtype=float)
@@ -381,8 +402,8 @@ def flux_equality_via_orbits(phi: Isotopy, psi: Isotopy, z0) -> OrbitFluxVerdict
     return OrbitFluxVerdict(
         winding_difference=cycle,
         contractible=not np.any(cycle),
-        flux_phi=flux_class(phi).pairings,
-        flux_psi=flux_class(psi).pairings,
+        flux_phi=_flux_class_at(torus, phi.time_one().disp).pairings,
+        flux_psi=_flux_class_at(torus, psi.time_one().disp).pairings,
         tolerance=flow_tolerance(torus.grid_res, 10.0),
     )
 
@@ -410,16 +431,18 @@ def order_cycle_test(phi: Isotopy, order: int) -> OrderCycleReport:
     If the time-one map has order r, iterating the path r times closes every
     orbit into a cycle; the flux pairings must equal winding / r, and the
     flux vanishes iff the cycle is contractible.  The cycle is the orbit of
-    the origin.
+    the origin, whose lifted end is the time-one map applied r times to the
+    origin, so the iterated path is never built.
     """
-    from .paths import iterate  # at module level: package import ~5 % slower
-
     torus = phi.torus
     end = GridMap(torus, phi.disp[-1])
     if end.power(order).c0_distance() > 1e-6:
         raise ValueError(f"time-one map is not of order {order} within 1e-06")
-    loop = iterate(phi, order)
-    cycle = orbit_of(loop, np.zeros(torus.dim)).winding(tol=1e-5)
+    origin = np.zeros(torus.dim)
+    lifted = origin
+    for _ in range(order):
+        lifted = end.apply(lifted)
+    cycle = winding(lifted - origin, 1e-5)
     fc = flux_class(phi).pairings
     relation = float(np.abs(fc - cycle / order).max())
     return OrderCycleReport(order, cycle, fc, relation, 1e-6)
@@ -440,7 +463,7 @@ class RigidityReport:
 
 
 def rigidity_experiment(
-    sequence: list[Isotopy],
+    sequence: Iterable[Isotopy],
     limit_loop: Isotopy,
     sample_points: np.ndarray | None = None,
 ) -> RigidityReport:
@@ -450,12 +473,14 @@ def rigidity_experiment(
     to the limit decrease to zero) and reports the winding vectors of the
     limit loop's orbits at the sample points; hypothesis failure produces a
     flagged report rather than an error.  A limit path whose sampled orbits
-    do not close (not a loop) raises.
+    do not close (not a loop) raises.  The sequence is read in one pass, so
+    it may be a generator that builds one member at a time.
     """
     torus = limit_loop.torus
-    flux_norms = np.array([flux_class(m).norm() for m in sequence])
-    distances = np.array([c0_distance(m, limit_loop) for m in sequence])
-    decreasing = len(sequence) < 2 or distances[-1] <= distances[0] + 1e-12
+    measured = [(flux_class(m).norm(), c0_distance(m, limit_loop)) for m in sequence]
+    flux_norms = np.array([norm for norm, _ in measured])
+    distances = np.array([dist for _, dist in measured])
+    decreasing = len(measured) < 2 or distances[-1] <= distances[0] + 1e-12
     hypothesis_ok = bool(np.all(flux_norms <= 1e-6) and decreasing)
     if not hypothesis_ok:
         return RigidityReport(False, flux_norms, distances, None)

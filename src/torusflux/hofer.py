@@ -42,12 +42,12 @@ from .flows import (
     generator_of,
     generator_residual,
     inverse,
-    inverse_generator,
+    inverse_generator_slices,
     rotate_coeffs_to_field,
     translation_path,
 )
 from .flux import flux_class
-from .paths import ConcatTrace, concat_left, concat_trace
+from .paths import ConcatTrace, concat_trace
 from .torus import FlatTorus, InversionError, harmonic_norm, hodge_decompose, osc
 
 # largest C0 gap at which a candidate path counts as reaching the target map
@@ -80,11 +80,19 @@ class LengthReport:
         return float(simpson(self.osc_trace, x=self.times))
 
 
-def _trace_report(gen: GeneratorPair) -> LengthReport:
-    k1 = len(gen.times)
-    u = gen.U.reshape(k1, -1)
-    osc_trace = u.max(axis=1) - u.min(axis=1)
-    return LengthReport(gen.times.copy(), osc_trace, np.abs(gen.H).sum(axis=1))
+def _report(times: np.ndarray, pairs) -> LengthReport:
+    """Length report from generator slices ``(u_k, h_k)``, read one at a time.
+
+    Each slice leaves only its oscillation ``max - min`` and its ``|h|_1``;
+    both are exact per slice, so a stored and a replayed trace give the
+    same bits.
+    """
+    osc_trace = np.empty(len(times))
+    harmonic_trace = np.empty(len(times))
+    for k, (u, h) in enumerate(pairs):
+        osc_trace[k] = u.max() - u.min()
+        harmonic_trace[k] = np.abs(h).sum()
+    return LengthReport(times.copy(), osc_trace, harmonic_trace)
 
 
 def lengths(
@@ -92,34 +100,57 @@ def lengths(
 ) -> LengthReport:
     """Length report from the generator pair of a symplectic isotopy.
 
-    ``validate_tol`` re-derives the velocity from the stored displacement
-    data and errors out if the generator reconstruction residual exceeds it.
+    A :class:`~torusflux.paths.ConcatTrace` is read from its replayed
+    generator slices.  ``validate_tol`` re-derives the velocity from the
+    stored displacement data of an :class:`Isotopy` and errors out if the
+    generator reconstruction residual exceeds it.
     """
+    if isinstance(isotopy, ConcatTrace):
+        return _report(isotopy.times, isotopy.generator())
     gen = generator_of(isotopy)
     if validate_tol is not None:
         res = generator_residual(isotopy, gen, nt=3)
         if res > validate_tol:
             raise ValueError(f"generator residual {res:.3e} above tolerance")
-    return _trace_report(gen)
+    return _report(gen.times, zip(gen.U, gen.H))
 
 
-def inverse_lengths(isotopy: Isotopy) -> LengthReport:
+def _unfolded(torus: FlatTorus, slices):
+    """Yield each displacement slice's map after the fold-over guard."""
+    for k, disp in enumerate(slices):
+        g = GridMap(torus, disp)
+        if k:
+            try:
+                g.check_unfolded()
+            except InversionError as exc:
+                raise InversionError(f"time slice {k}: {exc}") from exc
+        yield g
+
+
+def inverse_lengths(isotopy: Isotopy | ConcatTrace) -> LengthReport:
     """Length report of the inverse path ``t -> phi_t^{-1}``.
 
     Equal to ``lengths(inverse(isotopy))`` but read from the generator of
-    the inverse path (:func:`inverse_generator`), which evaluates only
-    forward maps; each slice must still pass the fold-over guard
-    :meth:`GridMap.check_unfolded`, which raises :class:`InversionError`.
-    No slice is inverted when the path carries a generator trace or a
-    provenance field; otherwise :func:`generator_of`'s data route inverts
-    each forward slice once.
+    the inverse path, which evaluates only forward maps, in one loop over
+    the slices with no stored trace: each slice passes the fold-over guard
+    :meth:`GridMap.check_unfolded` (which raises :class:`InversionError`),
+    is pulled back (:func:`~torusflux.flows.inverse_generator_slices`) and
+    leaves only its oscillation.  A :class:`~torusflux.paths.ConcatTrace`
+    is replayed.  No slice is inverted when the path carries a generator
+    trace or a provenance field; otherwise :func:`generator_of`'s data
+    route inverts each forward slice once, after every slice has passed
+    the guard.
     """
-    for k in range(1, isotopy.steps + 1):
-        try:
-            GridMap(isotopy.torus, isotopy.disp[k]).check_unfolded()
-        except InversionError as exc:
-            raise InversionError(f"time slice {k}: {exc}") from exc
-    return _trace_report(inverse_generator(isotopy))
+    if isinstance(isotopy, ConcatTrace):
+        maps = _unfolded(isotopy.torus, isotopy.slices())
+        pairs = isotopy.generator()
+    else:
+        maps = _unfolded(isotopy.torus, isotopy.disp)
+        if isotopy.gen is None and isotopy.provenance is None:
+            maps = list(maps)  # guard every slice before the data route
+        gen = generator_of(isotopy)
+        pairs = zip(gen.U, gen.H)
+    return _report(isotopy.times, inverse_generator_slices(maps, pairs))
 
 
 def vector_field_b_norm(torus: FlatTorus, samples: np.ndarray) -> float:
@@ -451,12 +482,14 @@ def energy_invariance_check(
     Concatenating candidates with flux-matching loops (the trivial loop
     included) must not change the family minimum beyond quadrature noise,
     both families being upper bounds of the same infimum.  The left
-    concatenations take 1600 time steps and are built by
-    :func:`~torusflux.paths.concat_trace`, which keeps their generator
-    traces and time-one maps and no displacement stack.  At 1600 steps the
-    Simpson integral of the cutoff rate over one half of the grid is 1 +
-    9.3e-10, so the concatenated lengths carry a quadrature error of that
-    relative size; the row's 1e-9 tolerance is only 1.1 times larger.
+    concatenations take 1600 time steps and are
+    :func:`~torusflux.paths.concat_trace` replays: each keeps its pieces
+    and its time-one map, and its length is read from the generator slices
+    as they are replayed, with no stored trace or displacement stack.  At
+    1600 steps the Simpson integral of the cutoff rate over one half of the
+    grid is 1 + 9.3e-10, so the concatenated lengths carry a quadrature
+    error of that relative size; the row's 1e-9 tolerance is only 1.1 times
+    larger.
     """
     plain = energy_surrogate(target, candidates)
     concatenated = []
@@ -510,7 +543,10 @@ def norm_comparison_check(
     branch is checked with its constant 72/5, and the combined 12^2/5 bound
     against the symmetrized Hofer-like norm runs on all candidates.  No
     path is Hodge split, as ``|rho|_H = 0`` (:class:`NormComparisonReport`).
-    Each margin grants the surrogate a slack of 1e-3.
+    The loop-corrected path, the fluxed path followed by the inverse loop,
+    is read only through its lengths and its time-one map, so it is a
+    :func:`~torusflux.paths.concat_trace` replay, not a stored stack.  Each
+    margin grants the surrogate a slack of 1e-3.
     """
     zero_flux: list[tuple[str, Isotopy]] = []
     for label, iso in hamiltonian_paths:
@@ -542,9 +578,9 @@ def norm_comparison_check(
         )
         if gap > 1e-6:
             raise ValueError("loop flux does not match the path flux")
-        corrected = concat_left(
-            inverse(matching_loop), fluxed_path, with_generator=True,
-            steps=max(600, fluxed_path.steps + matching_loop.steps),
+        corrected = concat_trace(
+            fluxed_path, inverse(matching_loop),
+            max(600, fluxed_path.steps + matching_loop.steps), left=True,
         )
         if corrected.time_one().c0_distance(target) > MATCH_TOL:
             raise ValueError("loop-corrected path misses the target map")

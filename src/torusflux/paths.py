@@ -119,28 +119,28 @@ def default_cutoff() -> CutoffFunction:
 # ---------------------------------------------------------------------------
 
 
-def _reparam_generator(
+def _reparam_slices(
     iso: Isotopy, warped: np.ndarray, rates: np.ndarray,
-    u_out: np.ndarray, h_out: np.ndarray, through: GridMap | None = None,
-) -> None:
-    """Write the generator trace ``rate * gen(warp)`` of iso into the outputs.
+    through: GridMap | None = None,
+):
+    """Yield the generator slices ``rate * gen(warp)`` of iso as ``(u, h)``.
 
-    The trace is read from one extraction.  With ``through`` it is pulled
-    back through that map: the function part is
+    The trace is read from one extraction, made at the first slice.  With
+    ``through`` it is pulled back through that map: the function part is
     :func:`~torusflux.flows.pullback_potential`'s, and the harmonic part is
     unchanged.
     """
     gen = generator_of(iso)
-    for i, (w, r) in enumerate(zip(warped, rates)):
+    for w, r in zip(warped, rates):
         u = interp_time(gen.times, gen.U, float(w))
         h = interp_time(gen.times, gen.H, float(w))
         if through is None:
-            u_out[i] = r * u
+            u = r * u
         elif r == 0.0:  # flat cutoff end: no spline to build
-            u_out[i] = 0.0
+            u = np.zeros(u.shape)
         else:
-            u_out[i] = pullback_potential(through, u, h, float(r))
-        h_out[i] = r * h
+            u = pullback_potential(through, u, h, float(r))
+        yield u, r * h
 
 
 def _concat_times(first: Isotopy, second: Isotopy, steps: int | None) -> np.ndarray:
@@ -159,60 +159,116 @@ def _glue(first_1: GridMap, second_tau: GridMap, left: bool) -> GridMap:
     return first_1.compose(second_tau, spectral=False)
 
 
+def _concat_slices(
+    first: Isotopy, first_1: GridMap, second: Isotopy, times: np.ndarray,
+    left: bool,
+):
+    """Yield the concatenation's displacement slices on ``times``, in order.
+
+    Slice 0 is the exact identity (+0.0).  The first piece runs until t =
+    1/2; from there on each slice glues ``second_tau`` to ``first_1``, the
+    time-one map of ``first`` (:func:`_glue`).  A slice whose
+    ``second_tau`` repeats the previous one (a constant path, the flat ends
+    of the cutoff) yields the previous glued slice again.
+    """
+    f = default_cutoff()
+    torus = first.torus
+    half = (len(times) - 1) // 2
+    lam, _ = f.half(times[:half], False)
+    yield np.zeros((torus.dim,) + torus.shape)
+    for s in lam[1:]:
+        yield first.disp_at(float(s))
+    previous = glued = None
+    tau, _ = f.half(times[half:], True)
+    for s in tau:
+        second_tau = second.map_at(float(s))
+        if not is_repeat(second_tau.disp, previous):
+            glued = _glue(first_1, second_tau, left).disp
+            previous = second_tau.disp
+        yield glued
+
+
 def _concat_generator(
     first: Isotopy, first_1: GridMap, second: Isotopy, times: np.ndarray,
     left: bool,
-) -> GeneratorPair:
-    """The reparametrized union of the pieces' generator traces on ``times``.
+):
+    """Yield the reparametrized union of the pieces' generator traces on ``times``.
 
-    On the right the second piece's trace is pushed forward by ``first_1``,
-    the time-one map of ``first``.  Both halves are written into one
-    buffer; the second piece's value at t = 1/2 would fill the first
-    piece's last slot and is not computed.
+    Slices are ``(u_k, h_k)``.  On the right the second piece's trace is
+    pushed forward by ``first_1``, the time-one map of ``first``, through
+    its inverse, which is computed once per call.  The second piece's value
+    at t = 1/2 would repeat the first piece's last slot and is not computed.
     """
     f = default_cutoff()
     half = (len(times) - 1) // 2
-    torus = first.torus
-    u = np.empty((len(times),) + torus.shape)
-    h = np.empty((len(times), torus.dim))
-    _reparam_generator(first, *f.half(times[: half + 1], False),
-                       u[: half + 1], h[: half + 1])
-    _reparam_generator(second, *f.half(times[half + 1 :], True),
-                       u[half + 1 :], h[half + 1 :],
-                       through=None if left else first_1.inverse())
-    return GeneratorPair(times.copy(), u, h)
+    yield from _reparam_slices(first, *f.half(times[: half + 1], False))
+    through = None if left else first_1.inverse()
+    yield from _reparam_slices(second, *f.half(times[half + 1 :], True), through)
 
 
 @dataclass(frozen=True)
 class ConcatTrace:
-    """Generator trace and time-one map of a concatenation, with no stack.
+    """A concatenation that is replayed slice by slice instead of stored.
 
-    :func:`~torusflux.hofer.lengths` and
-    :func:`~torusflux.hofer.energy_surrogate` read it as they read an
-    :class:`Isotopy` that carries ``gen``.
+    It keeps its pieces, its time grid, its side (``left``) and its glued
+    time-one map, held in C order as a stored slice is.  :meth:`slices`
+    and :meth:`generator` replay the displacement slices and the generator
+    slices ``(u_k, h_k)`` from the same loops that :func:`concat_left` and
+    :func:`concat_right` store, so each replayed slice is bitwise the
+    stored one.  :func:`~torusflux.hofer.lengths`,
+    :func:`~torusflux.hofer.inverse_lengths` and
+    :func:`~torusflux.hofer.energy_surrogate` read it one slice at a time.
+    Generators need a symplectic torus, which construction checks.
     """
 
-    torus: FlatTorus
-    gen: GeneratorPair
+    first: Isotopy
+    second: Isotopy
+    times: np.ndarray
+    left: bool
     end: GridMap
+
+    def __post_init__(self) -> None:
+        if not self.first.torus.symplectic:
+            raise ValueError("a concatenation's generator trace requires a symplectic torus")
+
+    @property
+    def torus(self) -> FlatTorus:
+        return self.first.torus
+
+    @property
+    def steps(self) -> int:
+        return len(self.times) - 1
 
     def time_one(self) -> GridMap:
         return self.end
 
+    def slices(self):
+        """Yield the displacement slices, shape ``(d,) + grid``."""
+        return _concat_slices(self.first, self.first.time_one(), self.second,
+                              self.times, self.left)
 
-def concat_trace(first: Isotopy, second: Isotopy, steps: int, left: bool) -> ConcatTrace:
-    """Generator trace and time-one map of a concatenation on ``steps`` steps.
+    def generator(self):
+        """Yield the generator slices ``(u_k, h_k)``."""
+        return _concat_generator(self.first, self.first.time_one(), self.second,
+                                 self.times, self.left)
 
-    ``first`` runs during [0, 1/2]: the result equals ``concat_left(second,
-    first, steps, with_generator=True)`` when ``left`` and ``concat_right(
-    first, second, steps, with_generator=True)`` otherwise, bit for bit in
-    ``gen`` and in the time-one map, without the displacement stack.  The
-    time-one map is one composition of the pieces' time-one maps.
+
+def concat_trace(
+    first: Isotopy, second: Isotopy, steps: int | None, left: bool
+) -> ConcatTrace:
+    """The replayed concatenation: ``first`` during [0, 1/2], then ``second``.
+
+    It equals ``concat_left(second, first, steps, with_generator=True)``
+    when ``left`` and ``concat_right(first, second, steps,
+    with_generator=True)`` otherwise, slice for slice and bit for bit in its
+    replayed displacement and generator and in its time-one map, with no
+    ``(K+1, d) + grid`` stack or ``(K+1,) + grid`` trace.  Building it
+    composes the pieces' time-one maps once and nothing else.
     """
     times = _concat_times(first, second, steps)
-    first_1 = first.time_one()
-    gen = _concat_generator(first, first_1, second, times, left)
-    return ConcatTrace(first.torus, gen, _glue(first_1, second.time_one(), left))
+    end = _glue(first.time_one(), second.time_one(), left)
+    end = GridMap(first.torus, np.ascontiguousarray(end.disp))
+    return ConcatTrace(first, second, times, left, end)
 
 
 def _concat(
@@ -222,36 +278,22 @@ def _concat(
     """Run ``first`` during [0, 1/2], then ``second`` glued to its time-one map.
 
     The second half is ``second_tau o first_1`` when ``left`` and
-    ``first_1 o second_tau`` otherwise.  A slice whose ``second_tau``
-    repeats the previous one (a constant path, the flat ends of the cutoff)
-    copies the previous composed slice.  The attached generator trace is
-    :func:`_concat_generator`'s, which :func:`concat_trace` shares: callers
-    that read only the trace and the time-one map take that route and build
-    no stack.
+    ``first_1 o second_tau`` otherwise.  Stores what :func:`_concat_slices`
+    and, with ``with_generator``, :func:`_concat_generator` yield, the
+    loops that a :class:`ConcatTrace` replays: callers that read the path
+    only slice by slice or at its ends take :func:`concat_trace` and store
+    nothing.
     """
-    f = default_cutoff()
     torus = first.torus
     times = _concat_times(first, second, steps)
-    k = len(times) - 1
-    half = k // 2
-    stack = np.empty((k + 1, torus.dim) + torus.shape)
-    lam, _ = f.half(times[: half + 1], False)
-    for j, s in enumerate(lam):
-        stack[j] = first.disp_at(float(s))
-    end = first.time_one()
-    previous = None
-    tau, _ = f.half(times[half:], True)
-    for j, s in enumerate(tau, start=half):
-        second_tau = second.map_at(float(s))
-        if is_repeat(second_tau.disp, previous):
-            stack[j] = stack[j - 1]
-            continue
-        stack[j] = _glue(end, second_tau, left).disp
-        previous = second_tau.disp
-    stack[0] = 0.0
+    first_1 = first.time_one()
+    stack = np.empty((len(times), torus.dim) + torus.shape)
+    for k, disp in enumerate(_concat_slices(first, first_1, second, times, left)):
+        stack[k] = disp
     gen = None
     if with_generator:
-        gen = _concat_generator(first, end, second, times, left)
+        gen = GeneratorPair.from_slices(
+            times, torus, _concat_generator(first, first_1, second, times, left))
     tags = {first.kind, second.kind}
     if "general" in tags:
         kind = "general"
@@ -278,7 +320,8 @@ def concat_right(
     leaves the harmonic part untouched (cohomology invariance) and composes
     the function part with ``phi_1^{-1}`` plus the explicit correction
     ``H . lift(phi_1^{-1})`` from pulling the harmonic form back.
-    :func:`concat_trace` gives the trace and the time-one map alone.
+    :func:`concat_trace` (``left=False``) replays the same path instead of
+    storing it.
     """
     return _concat(phi, psi, steps, with_generator, left=False)
 
@@ -295,9 +338,9 @@ def concat_left(
     under phi glued with the orbit of phi_1(p) under psi.  The generator
     trace of the result is the reparametrized union of the pieces' traces,
     so the integrated length is exactly additive; pass ``with_generator``
-    to attach it.  A caller that reads only that trace and the time-one map
-    takes :func:`concat_trace` (``left=True``), which builds no
-    displacement stack.
+    to attach it.  A caller that reads the path only slice by slice or at
+    its ends takes :func:`concat_trace` (``left=True``), which replays it
+    and stores no slice.
     """
     return _concat(phi, psi, steps, with_generator, left=True)
 
@@ -363,8 +406,5 @@ def reparametrized(
     gen = None
     if warp_deriv is not None:
         rates = np.maximum([warp_deriv(t) for t in times], 0.0)
-        u = np.empty((k + 1,) + torus.shape)
-        h = np.empty((k + 1, torus.dim))
-        _reparam_generator(phi, warped, rates, u, h)
-        gen = GeneratorPair(times.copy(), u, h)
+        gen = GeneratorPair.from_slices(times, torus, _reparam_slices(phi, warped, rates))
     return Isotopy(torus, times, stack, kind=phi.kind, gen=gen)

@@ -17,6 +17,7 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -276,12 +277,13 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
             1.0 - abs(value), 1e-6)
 
     # orbit criterion for flux equality
-    same = concat_right(bench.shear, bench.hamiltonian_loop)
+    # the verdicts read the concatenations' time-one maps only
+    same = concat_trace(bench.shear, bench.hamiltonian_loop, None, left=False)
     verdict = flux_mod.flux_equality_via_orbits(bench.shear, same, (0.3, 0.7))
     gap = float(np.abs(verdict.flux_psi - verdict.flux_phi).max())
     out.add("flux-17-orbit-criterion", "equal flux from contractible difference",
             gap if verdict.contractible else 1.0, 1e-6)
-    other = concat_right(bench.shear, bench.translation_loop)
+    other = concat_trace(bench.shear, bench.translation_loop, None, left=False)
     verdict = flux_mod.flux_equality_via_orbits(bench.shear, other, (0.3, 0.7))
     expected_gap = np.zeros(torus.dim)
     expected_gap[0] = 1.0
@@ -392,13 +394,14 @@ def scenario_rigidity(bench: Workbench) -> tuple[list[ReportRow], dict]:
     rng = np.random.default_rng(config.seed + 5)
     out = _Timer()
 
-    seq = [
+    # built one member at a time, as the experiment reads it
+    seq = (
         hamiltonian_loop(
             torus, config.steps, np.random.default_rng(config.seed + 7),
             amplitude=config.hamiltonian_amplitude * (1.0 + 1.0 / (i + 1)),
         )
         for i in range(config.sequence_length)
-    ]
+    )
     limit = bench.hamiltonian_loop
     report = flux_mod.rigidity_experiment(
         seq, limit, sample_points=rng.uniform(size=(config.sample_count // 4 or 1,
@@ -721,6 +724,19 @@ def _hofer_rows(bench: Workbench) -> list[ReportRow]:
 # ---------------------------------------------------------------------------
 
 
+def verify_parts(bench: Workbench) -> list[tuple[str, Callable[[], tuple]]]:
+    """The parts of ``verify`` in run order, each a ``(name, call)`` on ``bench``.
+
+    Every scenario is one part; the displacement rows and the length rows
+    are one part each.  A call returns ``(rows, extras)``.
+    """
+    parts = [(name, lambda name=name: run_scenario(name, bench.config, bench))
+             for name in _SCENARIOS]
+    parts.append(("displacement", lambda: (_displacement_rows(bench), {})))
+    parts.append(("hofer", lambda: (_hofer_rows(bench), {})))
+    return parts
+
+
 def run_verify(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     """The full invariant suite across the flux, displacement and length
     modules; ~60 rows, all expected to pass at default sizes.  One
@@ -731,14 +747,9 @@ def run_verify(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     exception in its anchor and the traceback in the log; the remaining
     parts still run.
     """
-    bench = Workbench(config)
     rows: list[ReportRow] = []
     extras: dict = {"tables": {}}
-    parts = [(name, lambda name=name: run_scenario(name, config, bench))
-             for name in _SCENARIOS]
-    parts.append(("displacement", lambda: (_displacement_rows(bench), {})))
-    parts.append(("hofer", lambda: (_hofer_rows(bench), {})))
-    for name, part in parts:
+    for name, part in verify_parts(Workbench(config)):
         started = time.perf_counter()
         try:
             sub_rows, sub_extras = part()

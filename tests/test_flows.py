@@ -646,6 +646,31 @@ class TestExactTranslations:
         assert spy["grad"] == 2
         assert np.abs(inv.disp + shift.disp).max() < 1e-15
 
+    @pytest.mark.parametrize("shift", [(1.0, 0.0), (0.37, -0.11)])
+    def test_inverse_of_a_translation_path_is_a_translation_path(self, shift):
+        from torusflux import FlatTorus
+        from torusflux.families import translation_loop
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        torus16 = FlatTorus(2, 16, symplectic=True)
+        steps = 50
+        path = (translation_loop(torus16, steps, (1, 0)) if shift == (1.0, 0.0)
+                else translation_isotopy(torus16, steps, shift))
+        inv = inverse(path)
+        # the (K+1, d) shift and a 0.0 broadcast, no (K+1, d) + grid array
+        assert owner(inv.disp).nbytes + owner(inv.gen.U).nbytes <= 2 * (steps + 1) * 2 * 8
+        # the dense formula: -disp[k], with +0.0 at slice 0
+        dense = -np.array(path.disp)
+        dense[0] = 0.0
+        assert np.ascontiguousarray(inv.disp).tobytes() == dense.tobytes()
+        assert not np.any(inv.gen.U) and not np.signbit(inv.gen.U).any()
+        assert np.array_equal(inv.gen.H, -generator_of(path).H)
+        assert inv.kind == path.kind
+
     def test_inverse_of_a_translation_loop_negates_it(self, trans_loop, spy):
         inv = inverse(trans_loop)
         assert spy["spline"] == 0

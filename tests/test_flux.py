@@ -8,6 +8,7 @@ from torusflux.families import (
     hamiltonian_shear,
     random_conservative_isotopy,
     shear_profile,
+    standard_shear,
     translation_isotopy,
     x_shear_field,
     y_shear_field,
@@ -23,6 +24,7 @@ from torusflux.flux import (
     flux_lattice,
     flux_pde_residual,
     loop_orbit_constancy,
+    orbit_displacement,
     orbit_of,
     order_cycle_test,
     rigidity_experiment,
@@ -206,7 +208,8 @@ class TestFactorization2:
         ("symplectic", 21), ("harmonic", 11), ("hamiltonian", 11),
     ])
     def test_thinned_flow_equals_full_stack(self, steps, kind, time_samples, monkeypatch):
-        import torusflux.flows as flows_mod
+        import weakref
+
         import torusflux.flux as flux_mod
         from torusflux.flows import constant_field
 
@@ -224,27 +227,56 @@ class TestFactorization2:
             "hamiltonian": lambda: TrigHamiltonian(
                 torus4, np.random.default_rng(11), amplitude=0.05).field(),
         }[kind]()
-        stored = []
-        real = flows_mod.integrate_trajectories
+        # every slice the flow yields is tracked while it is alive
+        refs, most = [], []
+        real = flux_mod.flow_slices
 
-        def recording(*args, **kwargs):
-            out = real(*args, **kwargs)
-            stored.append(len(out))
-            return out
+        def tracking(*args):
+            for disp in real(*args):
+                refs.append(weakref.ref(disp))
+                most.append(sum(ref() is not None for ref in refs))
+                yield disp
 
-        monkeypatch.setattr(flows_mod, "integrate_trajectories", recording)
+        monkeypatch.setattr(flux_mod, "flow_slices", tracking)
         thinned = factorization2_check(x_field, steps, time_samples=time_samples)
         ks = np.unique(np.linspace(0, steps, time_samples).astype(int))
-        assert stored == [len(ks)]
+        assert len(most) == len(ks)
+        # the slice being read and the one before it, never the others
+        assert max(most) <= 2
 
         # the full-stack route: every slice of flow(), then the sampled ones
         monkeypatch.setattr(flux_mod, "flow_slices",
-                            lambda f, k, keep: flow(f, k).disp[keep])
+                            lambda f, k, keep: iter(flow(f, k).disp[keep]))
         full = factorization2_check(x_field, steps, time_samples=time_samples)
-        assert stored[1:] == [steps + 1]
         for name in ("lhs", "rhs", "omega_flux"):
             a, b = getattr(thinned, name), getattr(full, name)
             assert a.tobytes() == b.tobytes(), name
+
+    def test_traced_peak_does_not_grow_with_the_samples(self):
+        # at most about two T^4 slices are alive: 51 sampled slices cost no
+        # more traced memory than 11 (with stored slices, 40 slices more)
+        import tracemalloc
+
+        torus4 = FlatTorus(4, 8, symplectic=True)
+
+        def shear(t, p):
+            out = np.zeros_like(p)
+            out[..., 0] = 0.7 * (1 + np.sin(2 * np.pi * p[..., 1])) / 2
+            out[..., 2] = 0.4 * (1 + np.cos(2 * np.pi * p[..., 3])) / 2
+            return out
+
+        x_field = TimeField(torus4, shear, "symplectic")
+        slice_bytes = torus4.dim * 8**4 * 8
+        peaks = {}
+        for samples in (11, 51):
+            tracemalloc.start()
+            try:
+                factorization2_check(x_field, 100, time_samples=samples)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[51] < peaks[11] + 2 * slice_bytes, (
+            (peaks[51] - peaks[11]) / slice_bytes)
 
     def test_dimension_guard(self, torus, shear):
         with pytest.raises(ValueError):
@@ -355,7 +387,46 @@ class TestOrderCycles:
             order_cycle_test(shear, 2)
 
 
+class TestOrbitDisplacement:
+    """Endpoint displacements are bitwise the orbit's, without the orbit."""
+
+    @pytest.fixture(scope="class")
+    def paths16(self):
+        torus16 = FlatTorus(2, 16, symplectic=True)
+        shear16 = standard_shear(torus16, 60)
+        data = Isotopy(torus16, shear16.times, shear16.disp)
+        return {"provenance": shear16, "data": data,
+                "concatenation": concat_right(shear16, hamiltonian_loop(torus16, 60))}
+
+    @pytest.mark.parametrize("name", ["provenance", "data", "concatenation"])
+    @pytest.mark.parametrize("x", [(0.1, 0.2), (0.0, 0.0), ((0.3, 0.7), (0.9, 0.05))])
+    def test_equals_the_orbit(self, paths16, name, x, monkeypatch):
+        path = paths16[name]
+        expected = orbit_of(path, x).displacement
+        builds = []
+        monkeypatch.setattr(Isotopy, "eval_orbit", lambda *a: builds.append(1))
+        got = orbit_displacement(path, x)
+        assert builds == []
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestRigidity:
+    def test_sequence_is_read_in_one_pass(self, torus):
+        def members():
+            for i in range(3):
+                yield hamiltonian_loop(torus, 60, np.random.default_rng(7),
+                                       amplitude=0.1 * (1 + 1 / (i + 1)))
+
+        limit = hamiltonian_loop(torus, 60, np.random.default_rng(7), amplitude=0.1)
+        points = np.array([[0.2, 0.6], [0.7, 0.1]])
+        streamed = rigidity_experiment(members(), limit, sample_points=points)
+        listed = rigidity_experiment(list(members()), limit, sample_points=points)
+        assert streamed.hypothesis_ok and listed.hypothesis_ok
+        for name in ("flux_norms", "distances", "windings"):
+            a, b = getattr(streamed, name), getattr(listed, name)
+            assert a.tobytes() == b.tobytes(), name
+
     def test_hamiltonian_sequence(self, torus):
         rng = np.random.default_rng(7)
         seq = [

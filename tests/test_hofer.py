@@ -504,6 +504,27 @@ class TestMemory:
         assert resid < 1e-9
         assert peak < stack_bytes, peak / stack_bytes
 
+    def test_norm_comparison_holds_no_corrected_stack(self, torus16):
+        # the loop-corrected path (601 slices) is replayed, and the inverse
+        # of the translation loop is a broadcast
+        import tracemalloc
+
+        ham = hamiltonian_shear(torus16, 50)
+        loop = translation_loop(torus16, 50)
+        fluxed = concat_right(ham, loop, with_generator=True)
+        stack_bytes = 601 * torus16.dim * 16**2 * 8
+        tracemalloc.start()
+        try:
+            report = norm_comparison_check(
+                ham.time_one(), [("direct", ham)],
+                fluxed_path=fluxed, matching_loop=loop,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass and report.margin_72_5 is not None
+        assert peak < stack_bytes, peak / stack_bytes
+
     def test_harmonic_path_is_a_broadcast(self, torus16):
         from torusflux.flows import GridMap, constant_field, flow_slices
 
@@ -524,9 +545,11 @@ class TestMemory:
         for iso in (rho, harm):
             assert _owner(iso.gen.U).nbytes <= 8
         keep = np.array([0, 10, 50])
-        slices = flow_slices(constant_field(torus16, (0.3, 0.1)), 50, keep)
-        assert _owner(slices).nbytes <= len(keep) * torus16.dim * 8
-        assert not slices.flags.writeable
+        slices = list(flow_slices(constant_field(torus16, (0.3, 0.1)), 50, keep))
+        assert len(slices) == len(keep)
+        for disp in slices:
+            assert _owner(disp).nbytes <= torus16.dim * 8
+            assert not disp.flags.writeable
 
     def test_composing_a_broadcast_translation_keeps_the_layout(self, torus16):
         # a ufunc's output takes the layout of its non-broadcast operand, so

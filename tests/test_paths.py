@@ -314,7 +314,20 @@ def _same_bits(a, b):
 
 
 class TestConcatTrace:
-    """The trace-only route gives the stacked concatenation's trace and endpoint."""
+    """The replayed concatenation gives the stored one's slices, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def pieces16(self):
+        from torusflux import FlatTorus
+        from torusflux.families import hamiltonian_shear, standard_shear
+
+        torus16 = FlatTorus(2, 16, symplectic=True)
+        return {
+            "shear": standard_shear(torus16, 100),
+            "ham_shear": hamiltonian_shear(torus16, 100),
+            "identity": identity_isotopy(torus16, 50),
+            "translation": translation_isotopy(torus16, 100, (0.25, 0.1)),
+        }
 
     @pytest.mark.parametrize("left, pieces, steps", [
         # an identity second piece: tau repeats its slices throughout
@@ -324,30 +337,42 @@ class TestConcatTrace:
         (False, ("identity", "ham_shear"), 151),
         (False, ("shear", "ham_shear"), 120),
     ])
-    def test_trace_route_equals_stacked_route(
-        self, torus, shear, ham_shear, left, pieces, steps
-    ):
-        named = {
-            "shear": shear,
-            "ham_shear": ham_shear,
-            "identity": identity_isotopy(torus, 50),
-            "translation": translation_isotopy(torus, 100, (0.25, 0.1)),
-        }
-        first, second = (named[name] for name in pieces)
+    def test_trace_route_equals_stacked_route(self, pieces16, left, pieces, steps):
+        from torusflux.hofer import inverse_lengths
+
+        first, second = (pieces16[name] for name in pieces)
         trace = concat_trace(first, second, steps, left=left)
         if left:
             stacked = concat_left(second, first, steps, with_generator=True)
         else:
             stacked = concat_right(first, second, steps, with_generator=True)
-        assert len(trace.gen.times) == steps + 1 + steps % 2
-        for name in ("times", "U", "H"):
-            assert _same_bits(getattr(trace.gen, name), getattr(stacked.gen, name)), name
+        assert trace.steps == stacked.steps == steps + steps % 2
+        assert _same_bits(trace.times, stacked.times)
+        replayed = list(trace.slices())
+        assert len(replayed) == stacked.steps + 1
+        for k, disp in enumerate(replayed):
+            assert _same_bits(disp, stacked.disp[k]), k
+        generator = list(trace.generator())
+        assert len(generator) == stacked.steps + 1
+        for k, (u, h) in enumerate(generator):
+            assert _same_bits(u, stacked.gen.U[k]), k
+            assert _same_bits(h, stacked.gen.H[k]), k
         assert _same_bits(trace.time_one().disp, stacked.time_one().disp)
-        ours, theirs = lengths(trace), lengths(stacked)
-        for name in ("times", "osc_trace", "harmonic_trace"):
-            assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
-        assert (ours.l1_length, ours.linf_length, ours.hofer_l1) == (
-            theirs.l1_length, theirs.linf_length, theirs.hofer_l1)
+        assert trace.time_one().disp.flags.c_contiguous
+        for read in (lengths, inverse_lengths):
+            ours, theirs = read(trace), read(stacked)
+            for name in ("times", "osc_trace", "harmonic_trace"):
+                assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
+            assert (ours.l1_length, ours.linf_length, ours.hofer_l1) == (
+                theirs.l1_length, theirs.linf_length, theirs.hofer_l1)
+
+    def test_a_trace_holds_no_stack(self, pieces16):
+        # pieces, time grid and one glued time-one map: no (K+1)-slice array
+        trace = concat_trace(pieces16["ham_shear"], pieces16["translation"], 1600,
+                             left=False)
+        held = [value for value in vars(trace).values() if isinstance(value, np.ndarray)]
+        assert [a.shape for a in held] == [(1601,)]
+        assert trace.time_one().disp.shape == (2, 16, 16)
 
     def test_generator_check_still_applies(self):
         from torusflux import FlatTorus

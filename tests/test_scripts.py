@@ -241,6 +241,25 @@ class TestRefinementStudy:
         assert "drop" in lines[1]
 
 
+def test_memory_peaks_smoke():
+    src = str(SCRIPTS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "memory_peaks.py"), "--resolution", "16",
+         "--steps", "50", "--part", "norm-comparison"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    (line,) = result.stdout.splitlines()
+    name, peak, unit, rows, *_ = line.split()
+    assert (name, unit, rows) == ("norm-comparison", "MiB", "4/4")
+    assert 0.0 < float(peak) < 64.0
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "memory_peaks.py"), "--part", "nope"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 2 and "unknown part" in result.stderr
+
+
 def test_benchmark_worker_setup_probe(tmp_path):
     # the worker's set-up builds the workload's torus from its config
     # (ExperimentConfig.dim and .resolution); a config change that breaks it
