@@ -14,7 +14,8 @@ of the parts.  Without ``--part`` the whole ``run_verify`` follows, as the
 line ``verify``.
 
 The peak is the one ``tracemalloc`` records, numpy arrays included: for a
-given config and library build it is the same in every run, unlike the
+given config and library build it is the same to about 0.3 MiB across
+process histories (a part run alone or after the others), unlike the
 resident set size.  One line per part: its name, its peak in MiB and how
 many of its rows pass.
 """

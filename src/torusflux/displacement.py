@@ -20,10 +20,11 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flows import GridMap, Isotopy, flow_tolerance, inverse
+from .flows import GridMap, Isotopy, PathEnd, flow_tolerance, inverse_end
 from .flux import flux_class, orbit_displacement, orbit_of, pullback_difference, winding
 from .torus import (
     FlatTorus,
@@ -37,6 +38,9 @@ from .torus import (
     poincare_pair,
     torus_distance,
 )
+
+if TYPE_CHECKING:
+    from .paths import ConcatTrace
 
 
 @dataclass(frozen=True)
@@ -172,8 +176,12 @@ def energy(psi: GridMap, coeffs, p) -> EnergyValue:
     return EnergyValue(nu.mean() / norm, coeffs, np.asarray(p, dtype=float))
 
 
-def energy_via_isotopy(isotopy: Isotopy, coeffs, p) -> EnergyValue:
-    """Energy with its flux-pairing / orbit-integral decomposition attached."""
+def energy_via_isotopy(isotopy: Isotopy | ConcatTrace, coeffs, p) -> EnergyValue:
+    """Energy with its flux-pairing / orbit-integral decomposition attached.
+
+    Reads the path at its ends only, so it may be a
+    :func:`~torusflux.paths.concat_trace` replay.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     e = energy(isotopy.time_one(), coeffs, p)
     norm = harmonic_norm(coeffs)
@@ -208,12 +216,14 @@ class DefectReport:
         return self.defect <= self.bound + 1e-9
 
 
-def composition_defect(psi_iso: Isotopy, phi_iso: Isotopy, coeffs, p) -> DefectReport:
+def composition_defect(psi_iso: Isotopy | PathEnd, phi_iso: Isotopy | PathEnd,
+                       coeffs, p) -> DefectReport:
     """Defect ``|E(psi o phi) - E(psi) - E(phi)|`` against ``2 A(M)^2 = 2``.
 
     Also evaluates the exact composition law: the defect equals the scaled
     difference of the orbit integrals of H through p and through phi(p)
-    along any isotopy reaching psi.
+    along any isotopy reaching psi.  Both paths are read at their ends
+    only, so a :class:`~torusflux.flows.PathEnd` serves.
     """
     torus = psi_iso.torus
     if torus.dim != 2 or not torus.symplectic:
@@ -244,7 +254,8 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
     ``E(psi^l) = l E(psi) + (Vol/|H|) (l int_{orbit of x} H -
     sum over iterates of the orbit integrals through psi^{eps i}(x))``
     with eps the sign of l and orbits taken along the eps-branch of the
-    path.
+    path.  The inverse branch is read at its ends
+    (:func:`~torusflux.flows.inverse_end`).
     """
     if power == 0:
         raise ValueError("iteration power must be nonzero")
@@ -253,7 +264,7 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
     x = np.asarray(x, dtype=float)
     eps = 1 if power > 0 else -1
     m = abs(power)
-    base = phi_iso if eps > 0 else inverse(phi_iso)
+    base = phi_iso if eps > 0 else inverse_end(phi_iso)
     psi_map = phi_iso.time_one()
     base_map = base.time_one()
 

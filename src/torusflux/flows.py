@@ -477,6 +477,23 @@ class Isotopy:
     def map_at(self, t: float) -> GridMap:
         return GridMap(self.torus, self.disp_at(t))
 
+    @property
+    def last(self) -> np.ndarray:
+        """The time-one slice ``disp[-1]``, in the stack's layout."""
+        return self.disp[-1]
+
+    def ends(self) -> "PathEnd":
+        """The path kept at its ends, holding no view of the stack.
+
+        The time-one slice is copied in its own layout, so the stack can be
+        released; a translation's zero-stride slice views only the shift and
+        is kept as it is.
+        """
+        last = self.disp[-1]
+        if 0 not in last.strides:
+            last = last.copy(order="K")
+        return PathEnd(self.torus, self.steps, self.provenance, last)
+
     def time_one(self) -> GridMap:
         return GridMap(self.torus, self.disp[-1])
 
@@ -522,6 +539,12 @@ def flow(x_field: TimeField, steps: int) -> Isotopy:
     spatially constant, so its flow is a translation: the orbit of the
     origin is integrated once and its lifted shift broadcast to the grid
     (:func:`translation_stack`).
+
+    The stack is a view of the ``(K+1, N^d, d)`` trajectory, with strides
+    ``(N^d d 8, 8, N d 8, d 8)``, so it is not C-contiguous.  Grid means
+    round differently in another layout, so a slice that stands for a
+    stored one (:func:`flow_slices`, :func:`flow_end`, a replay) keeps
+    this layout.
     """
     torus = x_field.torus
     _check_flow(x_field, steps)
@@ -559,6 +582,34 @@ def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray):
         return
     for p in trajectory_slices(x_field, torus.points, steps, keep):
         yield (p - torus.points).T.reshape((torus.dim,) + torus.shape)
+
+
+@dataclass(frozen=True)
+class PathEnd:
+    """A path kept at its ends only: its time-one slice, no stack.
+
+    ``last`` is the lifted time-one displacement ``(d,) + grid`` in the
+    layout of the stored path's ``disp[-1]``, and ``provenance`` the field
+    that generates the path (None when there is none).  It answers what
+    :func:`~torusflux.flux.flux_class`,
+    :func:`~torusflux.flux.orbit_displacement` and ``time_one()`` read of
+    an :class:`Isotopy`, bit for bit.  Made by :func:`flow_end`,
+    :func:`inverse_end` or :meth:`Isotopy.ends`.
+    """
+
+    torus: FlatTorus
+    steps: int
+    provenance: TimeField | None
+    last: np.ndarray
+
+    def time_one(self) -> GridMap:
+        return GridMap(self.torus, self.last)
+
+
+def flow_end(x_field: TimeField, steps: int) -> PathEnd:
+    """The ends of ``flow(x_field, steps)``: the same K RK4 steps, one slice kept."""
+    (last,) = flow_slices(x_field, steps, [steps])
+    return PathEnd(x_field.torus, steps, x_field, last)
 
 
 def trajectory_slices(
@@ -693,12 +744,12 @@ def generator_residual(isotopy: Isotopy, gen: GeneratorPair, nt: int = 5) -> flo
 def inverse(isotopy: Isotopy) -> Isotopy:
     """The inverse isotopy ``t -> phi_t^{-1}`` with continuous lifts.
 
-    Each slice's Newton inversion is warm-started from the previous slice,
-    so the chain follows the path continuously, and raises
-    :class:`InversionError` when the slice folds over.  The forward slice's
-    spline serves both the Newton solve and the displacement ``-u(pre)`` at
-    the preimages; a translation slice is inverted exactly, as
-    ``-disp[k]``.  A path whose every slice is a translation (read from the
+    Each slice's Newton inversion is warm-started from the previous slice
+    (:func:`inverse_slices`), so the chain follows the path continuously,
+    and raises :class:`InversionError` when the slice folds over.  The
+    forward slice's spline serves both the Newton solve and the
+    displacement ``-u(pre)`` at the preimages; a translation slice is
+    inverted exactly, as ``-disp[k]``.  A path whose every slice is a translation (read from the
     data, as :class:`GridMap` does) inverts to the translation path of the
     negated shift, with +0.0 at slice 0: its stack is a
     :func:`translation_stack` broadcast and its generator's function part
@@ -719,6 +770,20 @@ def inverse(isotopy: Isotopy) -> Isotopy:
         return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
     stack = np.empty_like(isotopy.disp)
     stack[0] = 0.0
+    for k, disp in enumerate(inverse_slices(isotopy), 1):
+        stack[k] = disp
+    gen = inverse_generator(isotopy) if exact_gen else None
+    return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
+
+
+def inverse_slices(isotopy: Isotopy):
+    """Yield the inverse path's displacement slices 1..K, in order.
+
+    The warm-started Newton chain that :func:`inverse` stores: each slice
+    is inverted from the previous slice's preimages, and a fold-over raises
+    :class:`InversionError` naming the slice.
+    """
+    torus = isotopy.torus
     warm: np.ndarray | None = None
     for k in range(1, isotopy.steps + 1):
         fwd = GridMap(torus, isotopy.disp[k])
@@ -728,11 +793,22 @@ def inverse(isotopy: Isotopy) -> Isotopy:
             raise InversionError(f"time slice {k}: {exc}") from exc
         warm = inv.image_points()
         if fwd._shift is not None:
-            stack[k] = inv.disp
+            yield inv.disp
         else:
-            stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
-    gen = inverse_generator(isotopy) if exact_gen else None
-    return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
+            yield -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
+
+
+def inverse_end(isotopy: Isotopy) -> PathEnd:
+    """The ends of :func:`inverse`: its time-one map, bit for bit.
+
+    Runs the Newton chain of :func:`inverse_slices` and keeps only its last
+    slice, in the layout of :func:`inverse`'s stack; no stack and no
+    generator is built.
+    """
+    last = np.empty_like(isotopy.disp[-1])
+    for disp in inverse_slices(isotopy):
+        last[...] = disp
+    return PathEnd(isotopy.torus, isotopy.steps, None, last)
 
 
 def pullback_potential(

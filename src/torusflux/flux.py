@@ -26,11 +26,12 @@ from .families import translation_loop
 from .flows import (
     GridMap,
     Isotopy,
+    PathEnd,
     PeriodicInterp,
     TimeField,
     c0_distance,
     contract_field_to_coeffs,
-    flow,
+    flow_end,
     flow_slices,
     flow_tolerance,
     integrate_trajectories,
@@ -108,12 +109,14 @@ def orbit_of(isotopy: Isotopy, x) -> Orbit:
     return Orbit(x, isotopy.times.copy(), traj.reshape(traj.shape[:1] + x.shape))
 
 
-def orbit_displacement(isotopy: Isotopy, x) -> np.ndarray:
+def orbit_displacement(isotopy: Isotopy | PathEnd | ConcatTrace, x) -> np.ndarray:
     """Lifted displacement ``orbit_of(isotopy, x).displacement`` of its endpoints.
 
     Bitwise the orbit's, without the orbit: with a provenance field only
     the first and last of the same K RK4 steps are stored; otherwise the
-    time-one map is applied, as slice 0 is the exact identity.
+    time-one map is applied, as slice 0 is the exact identity.  So a path
+    read at its ends (a :class:`~torusflux.flows.PathEnd` or a
+    :class:`~torusflux.paths.ConcatTrace`) serves as well as a stored one.
     """
     x = np.asarray(x, dtype=float)
     if isotopy.provenance is not None:
@@ -169,14 +172,15 @@ def flux_pde_residual(form: OneForm, isotopy: Isotopy, t: float) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def flux_class(isotopy: Isotopy) -> FluxClass:
+def flux_class(isotopy: Isotopy | PathEnd | ConcatTrace) -> FluxClass:
     """Flux class of a conservative isotopy: pairings with the [dx_i] basis.
 
     Entry i integrates the time-one flux function of dx_i, i.e. the grid
-    mean of the lifted displacement.  Conservativity is not checked here;
+    mean of the lifted displacement ``last`` (``disp[-1]`` of a stored
+    path), read in its own layout.  Conservativity is not checked here;
     :func:`~torusflux.flows.verify_conservative` measures it.
     """
-    return _flux_class_at(isotopy.torus, isotopy.disp[-1])
+    return _flux_class_at(isotopy.torus, isotopy.last)
 
 
 def _flux_class_at(torus: FlatTorus, time_one: np.ndarray) -> FluxClass:
@@ -389,8 +393,8 @@ def flux_equality_via_orbits(phi: Isotopy | ConcatTrace, psi: Isotopy | ConcatTr
     time-one image minus z0, so the winding is read from the two lifted
     time-one images alone; both are interpolated, so the off-grid
     evaluation error cancels in the difference.  The flux classes are read
-    from the time-one maps too, so either path may be a
-    :func:`~torusflux.paths.concat_trace` replay.
+    from the time-one slices too (:func:`flux_class`), so either path may
+    be a :func:`~torusflux.paths.concat_trace` replay.
     """
     torus = phi.torus
     z0 = np.asarray(z0, dtype=float)
@@ -402,8 +406,8 @@ def flux_equality_via_orbits(phi: Isotopy | ConcatTrace, psi: Isotopy | ConcatTr
     return OrbitFluxVerdict(
         winding_difference=cycle,
         contractible=not np.any(cycle),
-        flux_phi=_flux_class_at(torus, phi.time_one().disp).pairings,
-        flux_psi=_flux_class_at(torus, psi.time_one().disp).pairings,
+        flux_phi=flux_class(phi).pairings,
+        flux_psi=flux_class(psi).pairings,
         tolerance=flow_tolerance(torus.grid_res, 10.0),
     )
 
@@ -474,10 +478,14 @@ def rigidity_experiment(
     limit loop's orbits at the sample points; hypothesis failure produces a
     flagged report rather than an error.  A limit path whose sampled orbits
     do not close (not a loop) raises.  The sequence is read in one pass, so
-    it may be a generator that builds one member at a time.
+    it may be a generator that builds one member at a time; a member is
+    released before the next one is built.
     """
     torus = limit_loop.torus
-    measured = [(flux_class(m).norm(), c0_distance(m, limit_loop)) for m in sequence]
+    # map, not a comprehension: its loop variable would keep member i alive
+    # while the sequence builds member i + 1
+    measured = list(map(
+        lambda m: (flux_class(m).norm(), c0_distance(m, limit_loop)), sequence))
     flux_norms = np.array([norm for norm, _ in measured])
     distances = np.array([dist for _, dist in measured])
     decreasing = len(measured) < 2 or distances[-1] <= distances[0] + 1e-12
@@ -502,11 +510,13 @@ def flux_lattice(torus: FlatTorus, steps: int = 50) -> np.ndarray:
                      for unit in np.eye(torus.dim)])
 
 
-def scaled_to_target(field, form: OneForm, target: float, steps: int) -> Isotopy:
+def scaled_to_target(field, form: OneForm, target: float, steps: int) -> PathEnd:
     """Rescale an autonomous field so its flow has prescribed total flux.
 
     With ``lam = target / integral(alpha(X))`` the flow of ``lam X`` pairs to
-    exactly the target; realizes surjectivity of the flux pairing.
+    exactly the target; realizes surjectivity of the flux pairing.  The flow
+    is kept at its ends (:func:`~torusflux.flows.flow_end`), which is all
+    its flux class reads.
     """
     torus = field.torus
     samples = field.sample(0.0)
@@ -520,4 +530,4 @@ def scaled_to_target(field, form: OneForm, target: float, steps: int) -> Isotopy
     def evaluator(t: float, points: np.ndarray) -> np.ndarray:
         return lam * field(t, points)
 
-    return flow(TimeField(torus, evaluator, field.kind), steps)
+    return flow_end(TimeField(torus, evaluator, field.kind), steps)

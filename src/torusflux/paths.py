@@ -217,7 +217,10 @@ class ConcatTrace:
     :func:`concat_right` store, so each replayed slice is bitwise the
     stored one.  :func:`~torusflux.hofer.lengths`,
     :func:`~torusflux.hofer.inverse_lengths` and
-    :func:`~torusflux.hofer.energy_surrogate` read it one slice at a time.
+    :func:`~torusflux.hofer.energy_surrogate` read it one slice at a time;
+    :func:`~torusflux.flux.flux_class` and
+    :func:`~torusflux.flux.orbit_displacement` read its ends (``last``, no
+    ``provenance``, ``time_one()``) as they read a stored path's.
     Generators need a symplectic torus, which construction checks.
     """
 
@@ -226,6 +229,7 @@ class ConcatTrace:
     times: np.ndarray
     left: bool
     end: GridMap
+    provenance = None  # no field generates it: orbits go through ``end``
 
     def __post_init__(self) -> None:
         if not self.first.torus.symplectic:
@@ -238,6 +242,11 @@ class ConcatTrace:
     @property
     def steps(self) -> int:
         return len(self.times) - 1
+
+    @property
+    def last(self) -> np.ndarray:
+        """The time-one slice, as a stored concatenation's ``disp[-1]``."""
+        return self.end.disp
 
     def time_one(self) -> GridMap:
         return self.end

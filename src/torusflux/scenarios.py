@@ -43,7 +43,7 @@ from .flows import (
     TimeField,
     compose_pointwise,
     constant_field,
-    flow,
+    flow_end,
     flow_tolerance,
     harmonic_isotopy,
     identity_isotopy,
@@ -135,25 +135,25 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
         )
         return OneForm(tt, [1.0] + [0.0] * (tt.dim - 1), pot)
 
-    worst = 0.0
-    for _ in range(config.cocycle_pairs):
-        phi = random_conservative_isotopy(torus, rng, config.steps)
-        psi = random_conservative_isotopy(torus, rng, config.steps)
-        worst = max(worst, flux_mod.cocycle_residual(phi, psi, cocycle_form(torus)))
-    out.add("flux-01-cocycle", "flux cocycle identity", worst, 1e-5)
+    # the residual reads 21 slices of each draw through 4-point time windows,
+    # so the draws are stored; each pair is released before the next is drawn
+    def worst_cocycle(tt: FlatTorus, draws: np.random.Generator, pairs: int) -> float:
+        form = cocycle_form(tt)
+        worst = 0.0
+        for _ in range(pairs):
+            worst = max(worst, flux_mod.cocycle_residual(
+                random_conservative_isotopy(tt, draws, config.steps),
+                random_conservative_isotopy(tt, draws, config.steps), form))
+        return worst
+
+    out.add("flux-01-cocycle", "flux cocycle identity",
+            worst_cocycle(torus, rng, config.cocycle_pairs), 1e-5)
 
     # refinement: same seeded pairs at half and full resolution
     res_by_n = {}
     for n in (config.resolution // 2, config.resolution):
         sub = FlatTorus(config.dim, n, symplectic=True)
-        sub_rng = np.random.default_rng(config.seed + 1)
-        form = cocycle_form(sub)
-        worst_n = 0.0
-        for _ in range(8):
-            phi = random_conservative_isotopy(sub, sub_rng, config.steps)
-            psi = random_conservative_isotopy(sub, sub_rng, config.steps)
-            worst_n = max(worst_n, flux_mod.cocycle_residual(phi, psi, form))
-        res_by_n[n] = worst_n
+        res_by_n[n] = worst_cocycle(sub, np.random.default_rng(config.seed + 1), 8)
     ratio = res_by_n[config.resolution // 2] / max(res_by_n[config.resolution], 1e-16)
     out.add("flux-02-cocycle-refinement", "flux cocycle refinement",
             4.0 - ratio, 0.0, bound=0.0)
@@ -173,11 +173,12 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
     out.add("flux-05-translation-loop-class", "flux of a coordinate loop",
             float(np.abs(fc - loop_expected).max()), 1e-9)
 
-    # group homomorphism under pointwise composition (endpoint only)
+    # group homomorphism under pointwise composition (endpoint only): each
+    # draw is kept at its ends, so its stack is released at once
     worst = 0.0
     for _ in range(10):
-        phi = random_conservative_isotopy(torus, rng, config.steps)
-        psi = random_conservative_isotopy(torus, rng, config.steps)
+        phi = random_conservative_isotopy(torus, rng, config.steps).ends()
+        psi = random_conservative_isotopy(torus, rng, config.steps).ends()
         end = phi.time_one().compose(psi.time_one())
         combined = flux_mod._flux_class_at(torus, end.disp).pairings
         parts = (
@@ -212,15 +213,15 @@ def scenario_flux(bench: Workbench) -> tuple[list[ReportRow], dict]:
             "independence of the exact part",
             abs(base_val - shifted_val), 1e-9)
 
-    # reparametrization invariance of the endpoint flux function
+    # reparametrization invariance of the endpoint flux function; each
+    # reparametrized stack is released before the next is built
     worst = 0.0
     for warp in (lambda s: s**2, lambda s: s**3 * (4 - 3 * s),
                  lambda s: 0.5 * (1 - np.cos(np.pi * s))):
-        rep = reparametrized(bench.shear, warp)
         worst = max(
             worst,
             float(np.abs(
-                flux_mod.flux_function(bench.dx, rep, 1.0)
+                flux_mod.flux_function(bench.dx, reparametrized(bench.shear, warp), 1.0)
                 - flux_mod.flux_function(bench.dx, bench.shear, 1.0)
             ).max()),
         )
@@ -339,9 +340,12 @@ def scenario_defect_survey(bench: Workbench) -> tuple[list[ReportRow], dict]:
     max_exact = 0.0
     bound = 2.0  # 2 A(M)^2 on the unit-area torus
     for pair_id in range(config.pair_count):
-        psi_iso = random_conservative_isotopy(torus, rng, config.steps)
-        phi_iso = random_conservative_isotopy(torus, rng, config.steps)
-        report = disp_mod.composition_defect(psi_iso, phi_iso, coeffs, base_point)
+        # the defect reads each draw at its ends only: a draw is stored in
+        # full, as the benchmark's spans time per draw, and kept at its ends
+        # at once, so its stack is released before the next draw
+        psi = random_conservative_isotopy(torus, rng, config.steps).ends()
+        phi = random_conservative_isotopy(torus, rng, config.steps).ends()
+        report = disp_mod.composition_defect(psi, phi, coeffs, base_point)
         records.append(
             [pair_id, report.defect, report.bound, report.bound - report.defect]
         )
@@ -649,7 +653,8 @@ def _displacement_rows(bench: Workbench) -> list[ReportRow]:
     out.add("disp-05-energy-decomposition", "energy decomposition identity",
             resid, 1e-5)
 
-    alt = concat_right(bench.shear, bench.hamiltonian_loop)
+    # the energy reads the other path at its ends only: replayed, not stored
+    alt = concat_trace(bench.shear, bench.hamiltonian_loop, None, left=False)
     e1 = disp_mod.energy_via_isotopy(bench.shear, coeffs, p)
     e2 = disp_mod.energy_via_isotopy(alt, coeffs, p)
     out.add("disp-06-choice-independence", "energy independent of the path",
@@ -667,7 +672,7 @@ def _displacement_rows(bench: Workbench) -> list[ReportRow]:
         def gi(y, i=i):
             return g(y) + np.sin(2 * np.pi * y) / (3 * i)
 
-        maps.append(flow(x_shear_field(torus, gi), max(50, config.steps // 2)).time_one())
+        maps.append(flow_end(x_shear_field(torus, gi), max(50, config.steps // 2)).time_one())
     rows = disp_mod.continuity_check(maps, shear_map, coeffs, np.zeros(torus.dim))
     worst = max((r.energy_gap - r.bound) for r in rows if r.checked)
     out.add("disp-09-continuity", "energy continuity modulus",

@@ -248,6 +248,25 @@ def test_factorization2_keeps_one_t4_stack_alive():
     assert peak < stack_bytes, peak / stack_bytes
 
 
+def test_defect_survey_peak_does_not_grow_with_the_steps():
+    # each draw is stored in full and then released, kept at its ends: from
+    # K = 100 to K = 400 the traced peak grows by less than one (K+1, 2) +
+    # grid stack at K = 400 (a draw's own stack, built before it is trimmed)
+    peaks = {}
+    for steps in (100, 400):
+        config = ExperimentConfig(resolution=16, steps=steps, pair_count=2).validate()
+        tracemalloc.start()
+        try:
+            rows, _ = scenarios.run_scenario("defect-survey", config)
+            _, peaks[steps] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(r.passed for r in rows)
+    stack_bytes = (400 + 1) * 2 * 16**2 * 8
+    growth = peaks[400] - peaks[100]
+    assert growth < stack_bytes, growth / stack_bytes
+
+
 def test_base_transfer_row_fails_when_no_triangle_qualifies(monkeypatch):
     from torusflux import displacement
 

@@ -171,6 +171,27 @@ class TestIterationLaw:
     def test_negative_power(self, torus, shear):
         assert iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2)) < 1e-5
 
+    def test_negative_power_builds_no_inverse_stack(self, shear, monkeypatch):
+        # the inverse branch is read at its end: no inverse generator, and
+        # bitwise the value of the stored inverse path
+        from torusflux import displacement as disp_mod
+        from torusflux import flows
+
+        calls = []
+        real = flows.inverse_generator
+
+        def counted(isotopy):
+            calls.append(1)
+            return real(isotopy)
+
+        monkeypatch.setattr(flows, "inverse_generator", counted)
+        value = iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2))
+        assert calls == []
+        monkeypatch.setattr(disp_mod, "inverse_end", flows.inverse)
+        stored = iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2))
+        assert calls == [1]
+        assert value.hex() == stored.hex()
+
     def test_zero_rejected(self, torus, shear):
         with pytest.raises(ValueError):
             iteration_law_residual(shear, 0, (1, 0), (0.1, 0.2))

@@ -676,3 +676,41 @@ class TestExactTranslations:
         assert spy["spline"] == 0
         assert np.array_equal(inv.disp, -trans_loop.disp)
         assert inv.gen is not None
+
+
+class TestPathEnds:
+    @pytest.mark.parametrize("kind", ["x-shear", "y-shear", "translation", "hamiltonian"])
+    def test_ends_are_the_stored_draw(self, kind):
+        from torusflux import FlatTorus, families
+        from torusflux.flows import flow_end
+        from torusflux.flux import flux_class, orbit_displacement
+
+        torus16 = FlatTorus(2, 16, symplectic=True)
+        rng_iso, rng_end = np.random.default_rng(3), np.random.default_rng(3)
+        iso = families.random_conservative_isotopy(torus16, rng_iso, 60, kinds=(kind,))
+        kept = families.random_conservative_isotopy(torus16, rng_end, 60, kinds=(kind,)).ends()
+        assert rng_end.bit_generator.state == rng_iso.bit_generator.state
+        # the same K RK4 steps of the draw's field, one slice kept
+        end = flow_end(iso.provenance, 60)
+        points = np.random.default_rng(4).uniform(size=(5, 2))
+        for ours in (kept, end):
+            assert ours.steps == iso.steps and ours.provenance is not None
+            # a translation's slice is a zero-stride broadcast in both
+            for mine, stored in ((ours.last, iso.disp[-1]),
+                                 (ours.time_one().disp, iso.time_one().disp)):
+                assert mine.strides == stored.strides
+                assert mine.tobytes() == stored.tobytes()
+            assert flux_class(ours).pairings.tobytes() == flux_class(iso).pairings.tobytes()
+            assert (orbit_displacement(ours, points).tobytes()
+                    == orbit_displacement(iso, points).tobytes())
+        # the draw kept at its ends holds no view of its stack
+        assert kind == "translation" or not np.shares_memory(kept.last, iso.disp)
+
+    def test_inverse_end_is_the_stored_inverse(self, shear):
+        from torusflux.flows import inverse_end
+
+        end = inverse_end(shear)
+        stored = inverse(shear).disp[-1]
+        assert end.provenance is None and end.steps == shear.steps
+        assert end.last.strides == stored.strides
+        assert end.last.tobytes() == stored.tobytes()

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,24 @@ class TestRigidity:
         for name in ("flux_norms", "distances", "windings"):
             a, b = getattr(streamed, name), getattr(listed, name)
             assert a.tobytes() == b.tobytes(), name
+
+    def test_member_is_released_before_the_next_is_built(self, torus):
+        # two live (K+1, d) + grid stacks would double the experiment's peak
+        built = []
+
+        def members():
+            for i in range(3):
+                assert all(ref() is None for ref in built), i
+                member = hamiltonian_loop(torus, 60, np.random.default_rng(7),
+                                          amplitude=0.1 * (1 + 1 / (i + 1)))
+                built.append(weakref.ref(member))
+                yield member
+                del member
+
+        limit = hamiltonian_loop(torus, 60, np.random.default_rng(7), amplitude=0.1)
+        report = rigidity_experiment(members(), limit,
+                                     sample_points=np.array([[0.2, 0.6]]))
+        assert report.hypothesis_ok and len(built) == 3
 
     def test_hamiltonian_sequence(self, torus):
         rng = np.random.default_rng(7)
