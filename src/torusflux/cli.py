@@ -86,7 +86,7 @@ def verify(config_path, out_dir, seed, resolution, steps):
 @_common_options
 def scenario(name, config_path, out_dir, seed, resolution, steps):
     """Run one named scenario."""
-    from .scenarios import run_scenario, scenario_names
+    from .scenarios import run_part, run_scenario, scenario_names
 
     if name == "list":
         click.echo("\n".join(scenario_names()))
@@ -98,7 +98,7 @@ def scenario(name, config_path, out_dir, seed, resolution, steps):
     config = _build_config(config_path, seed=seed, resolution=resolution,
                            steps=steps)
     t0 = time.perf_counter()
-    rows, extras = run_scenario(name, config)
+    rows, extras = run_part(name, lambda: run_scenario(name, config))
     sys.exit(_emit(rows, extras, config, out_dir,
                    (time.perf_counter() - t0) * 1e3))
 

@@ -400,10 +400,16 @@ class GeneratorPair:
 
 
 def _time_weights(times: np.ndarray, t: float) -> tuple[slice, np.ndarray]:
-    """4-point Lagrange window and weights for a uniform time grid."""
+    """4-point Lagrange window and weights for a uniform time grid.
+
+    A grid of fewer than 4 slices gets the 2-point linear window instead.
+    """
     k = len(times) - 1
     s = float(t) * k
-    i = int(np.clip(np.floor(s), 1, max(k - 2, 1)))
+    if k < 3:
+        i = int(np.clip(np.floor(s), 0, k - 1))
+        return slice(i, i + 2), np.array([1.0 - (s - i), s - i])
+    i = int(np.clip(np.floor(s), 1, k - 2))
     window = slice(i - 1, i + 3)
     xs = np.arange(i - 1, i + 3, dtype=float)
     w = np.ones(4)
@@ -416,14 +422,57 @@ def _time_weights(times: np.ndarray, t: float) -> tuple[slice, np.ndarray]:
 
 def interp_time(times: np.ndarray, stack: np.ndarray, t: float) -> np.ndarray:
     """Piecewise-cubic time interpolation of a stacked array (K+1, ...)."""
-    if len(times) < 4:
-        # linear fallback for very short paths
-        s = float(t) * (len(times) - 1)
-        i = int(np.clip(np.floor(s), 0, len(times) - 2))
-        lam = s - i
-        return (1 - lam) * stack[i] + lam * stack[i + 1]
     window, w = _time_weights(times, t)
     return np.tensordot(w, stack[window], axes=(0, 0))
+
+
+class TimeWindow:
+    """:func:`interp_time` of a stack that is streamed instead of stored.
+
+    ``slices`` yields the stack's slices on ``times`` in order, each an
+    array or a tuple of arrays (a generator's ``(u_k, h_k)``), as a stored
+    path's or a replay's ``slices()`` and ``generator()`` do.  :meth:`at`
+    reads the stream only as far as the window of its time, holds no slice
+    before that window (at most 4 slices) and returns what
+    :func:`interp_time` gives of the stored stack, of each part for tuples,
+    bit for bit.  The windows must therefore come in nondecreasing order:
+    a time whose window starts at a dropped slice raises ValueError.
+    :meth:`disp_at` reads a displacement stream as :meth:`Isotopy.disp_at`
+    reads the stored stack.
+    """
+
+    def __init__(self, times: np.ndarray, slices):
+        self.times = times
+        self._slices = iter(slices)
+        self._held: list = []
+        self._start = 0  # the time index of _held[0]
+
+    def _window(self, start: int, stop: int) -> list:
+        if start < self._start:
+            raise ValueError(f"time slice {start} was dropped: the window is at {self._start}")
+        for _ in range(start - self._start):
+            if not self._held:
+                self._held.append(next(self._slices))
+            self._held.pop(0)
+        self._start = start
+        while len(self._held) < stop - start:
+            self._held.append(next(self._slices))
+        return self._held[: stop - start]
+
+    def at(self, t: float):
+        window, w = _time_weights(self.times, t)
+        held = self._window(window.start, window.stop)
+        if isinstance(held[0], tuple):
+            return tuple(np.tensordot(w, np.stack(part), axes=(0, 0)) for part in zip(*held))
+        return np.tensordot(w, np.stack(held), axes=(0, 0))
+
+    def disp_at(self, t: float, last: np.ndarray) -> np.ndarray:
+        """:meth:`at`, with the first slice for t <= 0 and ``last`` for t >= 1."""
+        if t <= 0.0:
+            return self._window(0, 1)[0]
+        if t >= 1.0:
+            return last
+        return self.at(t)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +545,15 @@ class Isotopy:
 
     def time_one(self) -> GridMap:
         return GridMap(self.torus, self.disp[-1])
+
+    def slices(self):
+        """Yield the stored displacement slices, as a replayed path does."""
+        return iter(self.disp)
+
+    def generator(self):
+        """Yield the slices ``(u_k, h_k)`` of :func:`generator_of`'s pair."""
+        gen = generator_of(self)
+        return zip(gen.U, gen.H)
 
     def eval_orbit(self, x: np.ndarray) -> np.ndarray:
         """Lifted orbit of one or more points, shape (K+1, ..., d)."""
@@ -706,21 +764,31 @@ def generator_of(isotopy: Isotopy) -> GeneratorPair:
 def _generator_from_field(isotopy: Isotopy) -> GeneratorPair:
     """Hodge split of the provenance field's samples, slice by slice.
 
-    A slice whose samples repeat the previous slice's (every slice of an
-    autonomous field) reuses the previous split.
+    A slice whose samples repeat the previous slice's reuses the previous
+    split.  While every slice repeats the first one, as along an autonomous
+    field (a Hamiltonian shear, a translation), ``U`` is that slice's
+    potential broadcast to ``(K+1,) + grid``; a field that varies in time
+    gets the dense array, written from its first slice that differs.
     """
     torus = isotopy.torus
     k1 = isotopy.steps + 1
-    U = np.empty((k1,) + torus.shape)
+    U = None
     H = np.empty((k1, torus.dim))
     previous = None
     for k in range(k1):
         x_samples = isotopy.provenance.sample(isotopy.times[k])
         if not is_repeat(x_samples, previous):
+            if k and U is None:
+                U = np.empty((k1,) + torus.shape)
+                U[:k] = form.potential
             form = hodge_decompose(torus, contract_field_to_coeffs(x_samples))
             previous = x_samples
-        U[k] = form.potential
+        if U is not None:
+            U[k] = form.potential
         H[k] = form.harmonic
+    if U is None:
+        # a copy, not a view of the inverse FFT's complex buffer
+        U = np.broadcast_to(form.potential.copy(), (k1,) + torus.shape)
     return GeneratorPair(isotopy.times.copy(), U, H)
 
 

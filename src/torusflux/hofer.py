@@ -98,21 +98,19 @@ def _report(times: np.ndarray, pairs) -> LengthReport:
 def lengths(
     isotopy: Isotopy | ConcatTrace, validate_tol: float | None = None
 ) -> LengthReport:
-    """Length report from the generator pair of a symplectic isotopy.
+    """Length report from the generator slices of a symplectic isotopy.
 
-    A :class:`~torusflux.paths.ConcatTrace` is read from its replayed
-    generator slices.  ``validate_tol`` re-derives the velocity from the
-    stored displacement data of an :class:`Isotopy` and errors out if the
-    generator reconstruction residual exceeds it.
+    The slices are read one at a time from ``generator()``: an
+    :class:`Isotopy`'s :func:`generator_of` pair or the replayed slices of
+    a :class:`~torusflux.paths.ConcatTrace`.  ``validate_tol`` re-derives
+    the velocity from the stored displacement data of an :class:`Isotopy`
+    and errors out if the generator reconstruction residual exceeds it.
     """
-    if isinstance(isotopy, ConcatTrace):
-        return _report(isotopy.times, isotopy.generator())
-    gen = generator_of(isotopy)
     if validate_tol is not None:
-        res = generator_residual(isotopy, gen, nt=3)
+        res = generator_residual(isotopy, generator_of(isotopy), nt=3)
         if res > validate_tol:
             raise ValueError(f"generator residual {res:.3e} above tolerance")
-    return _report(gen.times, zip(gen.U, gen.H))
+    return _report(isotopy.times, isotopy.generator())
 
 
 def _unfolded(torus: FlatTorus, slices):
@@ -135,22 +133,17 @@ def inverse_lengths(isotopy: Isotopy | ConcatTrace) -> LengthReport:
     the slices with no stored trace: each slice passes the fold-over guard
     :meth:`GridMap.check_unfolded` (which raises :class:`InversionError`),
     is pulled back (:func:`~torusflux.flows.inverse_generator_slices`) and
-    leaves only its oscillation.  A :class:`~torusflux.paths.ConcatTrace`
-    is replayed.  No slice is inverted when the path carries a generator
-    trace or a provenance field; otherwise :func:`generator_of`'s data
-    route inverts each forward slice once, after every slice has passed
-    the guard.
+    leaves only its oscillation.  The slices and generator slices are read
+    from ``slices()`` and ``generator()``, stored or replayed (a
+    :class:`~torusflux.paths.ConcatTrace`).  No slice is inverted when the
+    path carries a generator trace or a provenance field, or is a replay;
+    otherwise :func:`generator_of`'s data route inverts each forward slice
+    once, after every slice has passed the guard.
     """
-    if isinstance(isotopy, ConcatTrace):
-        maps = _unfolded(isotopy.torus, isotopy.slices())
-        pairs = isotopy.generator()
-    else:
-        maps = _unfolded(isotopy.torus, isotopy.disp)
-        if isotopy.gen is None and isotopy.provenance is None:
-            maps = list(maps)  # guard every slice before the data route
-        gen = generator_of(isotopy)
-        pairs = zip(gen.U, gen.H)
-    return _report(isotopy.times, inverse_generator_slices(maps, pairs))
+    maps = _unfolded(isotopy.torus, isotopy.slices())
+    if isinstance(isotopy, Isotopy) and isotopy.gen is None and isotopy.provenance is None:
+        maps = list(maps)  # guard every slice before the data route
+    return _report(isotopy.times, inverse_generator_slices(maps, isotopy.generator()))
 
 
 def vector_field_b_norm(torus: FlatTorus, samples: np.ndarray) -> float:
@@ -533,7 +526,7 @@ class NormComparisonReport:
 def norm_comparison_check(
     target: GridMap,
     hamiltonian_paths: Sequence[tuple[str, Isotopy]],
-    fluxed_path: Isotopy | None = None,
+    fluxed_path: Isotopy | ConcatTrace | None = None,
     matching_loop: Isotopy | None = None,
 ) -> NormComparisonReport:
     """Compare the Hofer norm surrogate with the Hofer-like energy bounds.
@@ -545,7 +538,9 @@ def norm_comparison_check(
     path is Hodge split, as ``|rho|_H = 0`` (:class:`NormComparisonReport`).
     The loop-corrected path, the fluxed path followed by the inverse loop,
     is read only through its lengths and its time-one map, so it is a
-    :func:`~torusflux.paths.concat_trace` replay, not a stored stack.  Each
+    :func:`~torusflux.paths.concat_trace` replay, not a stored stack; the
+    fluxed path may be a replay too, read through a 4-slice time window
+    as the corrected path is replayed, so no stack of either is held.  Each
     margin grants the surrogate a slack of 1e-3.
     """
     zero_flux: list[tuple[str, Isotopy]] = []

@@ -27,8 +27,7 @@ from .flows import (
     GeneratorPair,
     GridMap,
     Isotopy,
-    generator_of,
-    interp_time,
+    TimeWindow,
     inverse,
     is_repeat,
     pullback_potential,
@@ -120,20 +119,20 @@ def default_cutoff() -> CutoffFunction:
 
 
 def _reparam_slices(
-    iso: Isotopy, warped: np.ndarray, rates: np.ndarray,
+    path: Isotopy | ConcatTrace, warped: np.ndarray, rates: np.ndarray,
     through: GridMap | None = None,
 ):
-    """Yield the generator slices ``rate * gen(warp)`` of iso as ``(u, h)``.
+    """Yield the generator slices ``rate * gen(warp)`` of a path as ``(u, h)``.
 
-    The trace is read from one extraction, made at the first slice.  With
-    ``through`` it is pulled back through that map: the function part is
-    :func:`~torusflux.flows.pullback_potential`'s, and the harmonic part is
-    unchanged.
+    The path's ``generator()`` slices, stored or replayed, are read through
+    one :class:`~torusflux.flows.TimeWindow` at the nondecreasing warps.
+    With ``through`` the trace is pulled back through that map: the
+    function part is :func:`~torusflux.flows.pullback_potential`'s, and
+    the harmonic part is unchanged.
     """
-    gen = generator_of(iso)
+    window = TimeWindow(path.times, path.generator())
     for w, r in zip(warped, rates):
-        u = interp_time(gen.times, gen.U, float(w))
-        h = interp_time(gen.times, gen.H, float(w))
+        u, h = window.at(float(w))
         if through is None:
             u = r * u
         elif r == 0.0:  # flat cutoff end: no spline to build
@@ -143,7 +142,9 @@ def _reparam_slices(
         yield u, r * h
 
 
-def _concat_times(first: Isotopy, second: Isotopy, steps: int | None) -> np.ndarray:
+def _concat_times(
+    first: Isotopy | ConcatTrace, second: Isotopy | ConcatTrace, steps: int | None
+) -> np.ndarray:
     """The concatenation's uniform time grid, with an even number of steps."""
     if first.torus != second.torus:
         raise ValueError("isotopies live on different tori")
@@ -160,37 +161,40 @@ def _glue(first_1: GridMap, second_tau: GridMap, left: bool) -> GridMap:
 
 
 def _concat_slices(
-    first: Isotopy, first_1: GridMap, second: Isotopy, times: np.ndarray,
-    left: bool,
+    first: Isotopy | ConcatTrace, first_1: GridMap, second: Isotopy | ConcatTrace,
+    times: np.ndarray, left: bool,
 ):
     """Yield the concatenation's displacement slices on ``times``, in order.
 
     Slice 0 is the exact identity (+0.0).  The first piece runs until t =
     1/2; from there on each slice glues ``second_tau`` to ``first_1``, the
-    time-one map of ``first`` (:func:`_glue`).  A slice whose
-    ``second_tau`` repeats the previous one (a constant path, the flat ends
-    of the cutoff) yields the previous glued slice again.
+    time-one map of ``first`` (:func:`_glue`).  Each piece's slices, stored
+    or replayed, are read through a :class:`~torusflux.flows.TimeWindow`.
+    A slice whose ``second_tau`` repeats the previous one (a constant path,
+    the flat ends of the cutoff) yields the previous glued slice again.
     """
     f = default_cutoff()
     torus = first.torus
     half = (len(times) - 1) // 2
     lam, _ = f.half(times[:half], False)
     yield np.zeros((torus.dim,) + torus.shape)
+    window = TimeWindow(first.times, first.slices())
     for s in lam[1:]:
-        yield first.disp_at(float(s))
+        yield window.disp_at(float(s), first.last)
     previous = glued = None
     tau, _ = f.half(times[half:], True)
+    window = TimeWindow(second.times, second.slices())
     for s in tau:
-        second_tau = second.map_at(float(s))
-        if not is_repeat(second_tau.disp, previous):
-            glued = _glue(first_1, second_tau, left).disp
-            previous = second_tau.disp
+        second_tau = window.disp_at(float(s), second.last)
+        if not is_repeat(second_tau, previous):
+            glued = _glue(first_1, GridMap(torus, second_tau), left).disp
+            previous = second_tau
         yield glued
 
 
 def _concat_generator(
-    first: Isotopy, first_1: GridMap, second: Isotopy, times: np.ndarray,
-    left: bool,
+    first: Isotopy | ConcatTrace, first_1: GridMap, second: Isotopy | ConcatTrace,
+    times: np.ndarray, left: bool,
 ):
     """Yield the reparametrized union of the pieces' generator traces on ``times``.
 
@@ -211,7 +215,12 @@ class ConcatTrace:
     """A concatenation that is replayed slice by slice instead of stored.
 
     It keeps its pieces, its time grid, its side (``left``) and its glued
-    time-one map, held in C order as a stored slice is.  :meth:`slices`
+    time-one map, held in C order as a stored slice is.  A piece is a
+    stored :class:`~torusflux.flows.Isotopy` or itself a replay: both
+    answer ``slices()``, ``generator()``, ``last`` and ``time_one()``, and
+    a replayed piece is read through a 4-slice
+    :class:`~torusflux.flows.TimeWindow`, so a replay of replays holds no
+    stack either.  :meth:`slices`
     and :meth:`generator` replay the displacement slices and the generator
     slices ``(u_k, h_k)`` from the same loops that :func:`concat_left` and
     :func:`concat_right` store, so each replayed slice is bitwise the
@@ -224,8 +233,8 @@ class ConcatTrace:
     Generators need a symplectic torus, which construction checks.
     """
 
-    first: Isotopy
-    second: Isotopy
+    first: Isotopy | ConcatTrace
+    second: Isotopy | ConcatTrace
     times: np.ndarray
     left: bool
     end: GridMap
@@ -263,7 +272,8 @@ class ConcatTrace:
 
 
 def concat_trace(
-    first: Isotopy, second: Isotopy, steps: int | None, left: bool
+    first: Isotopy | ConcatTrace, second: Isotopy | ConcatTrace,
+    steps: int | None, left: bool,
 ) -> ConcatTrace:
     """The replayed concatenation: ``first`` during [0, 1/2], then ``second``.
 
@@ -272,7 +282,10 @@ def concat_trace(
     with_generator=True)`` otherwise, slice for slice and bit for bit in its
     replayed displacement and generator and in its time-one map, with no
     ``(K+1, d) + grid`` stack or ``(K+1,) + grid`` trace.  Building it
-    composes the pieces' time-one maps once and nothing else.
+    composes the pieces' time-one maps once and nothing else.  A piece may
+    be a replay itself: ``concat_trace(concat_trace(a, b, None, left=False),
+    c, steps, left=True)`` equals the same concatenations stored, bit for
+    bit, and stores none of them.
     """
     times = _concat_times(first, second, steps)
     end = _glue(first.time_one(), second.time_one(), left)
@@ -401,8 +414,8 @@ def reparametrized(
 ) -> Isotopy:
     """Time reparametrization ``t -> phi_{warp(t)}`` with warp(0)=0, warp(1)=1.
 
-    Supplying the warp derivative attaches the exactly rescaled generator
-    trace ``warp'(t) * gen(warp(t))``.
+    Supplying the derivative of a nondecreasing warp attaches the exactly
+    rescaled generator trace ``warp'(t) * gen(warp(t))``.
     """
     torus = phi.torus
     k = steps if steps is not None else phi.steps

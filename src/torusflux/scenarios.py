@@ -48,7 +48,7 @@ from .flows import (
     harmonic_isotopy,
     identity_isotopy,
 )
-from .paths import concat_right, concat_trace, make_cutoff, reparametrized
+from .paths import concat_trace, make_cutoff, reparametrized
 from .reporting import ReportRow
 from .torus import OneForm, integrate, minimal_geodesic, poincare_pair
 
@@ -510,7 +510,7 @@ def scenario_deformation(bench: Workbench) -> tuple[list[ReportRow], dict]:
 def scenario_norm_comparison(bench: Workbench) -> tuple[list[ReportRow], dict]:
     out = _Timer()
     hs = bench.hamiltonian_shear
-    fluxed = concat_right(hs, bench.translation_loop, with_generator=True)
+    fluxed = concat_trace(hs, bench.translation_loop, None, left=False)
     report = hofer_mod.norm_comparison_check(
         hs.time_one(), [("direct", hs)],
         fluxed_path=fluxed, matching_loop=bench.translation_loop,
@@ -742,29 +742,37 @@ def verify_parts(bench: Workbench) -> list[tuple[str, Callable[[], tuple]]]:
     return parts
 
 
+def run_part(name: str, part: Callable[[], tuple]) -> tuple[list[ReportRow], dict]:
+    """``part()``'s ``(rows, extras)``; a part that raises fails as one row.
+
+    The failing row is ``<name>-error``, value 1.0, with the exception in
+    its anchor and the traceback in the log, so the reports are still
+    written and the run exits with the failed-check code.
+    """
+    started = time.perf_counter()
+    try:
+        return part()
+    except Exception as exc:
+        log.exception("part %r failed", name)
+        return [ReportRow(
+            f"{name}-error", f"{type(exc).__name__}: {exc}", 1.0, 0.0, 0.0,
+            runtime_ms=(time.perf_counter() - started) * 1e3,
+        )], {}
+
+
 def run_verify(config: ExperimentConfig) -> tuple[list[ReportRow], dict]:
     """The full invariant suite across the flux, displacement and length
     modules; ~60 rows, all expected to pass at default sizes.  One
     workbench serves every check.
 
     A part (a scenario, the displacement rows or the length rows) that
-    raises becomes one failing ``<part>-error`` row, value 1.0, with the
-    exception in its anchor and the traceback in the log; the remaining
-    parts still run.
+    raises becomes one failing ``<part>-error`` row (:func:`run_part`);
+    the remaining parts still run.
     """
     rows: list[ReportRow] = []
     extras: dict = {"tables": {}}
     for name, part in verify_parts(Workbench(config)):
-        started = time.perf_counter()
-        try:
-            sub_rows, sub_extras = part()
-        except Exception as exc:
-            log.exception("verify part %r failed", name)
-            rows.append(ReportRow(
-                f"{name}-error", f"{type(exc).__name__}: {exc}", 1.0, 0.0, 0.0,
-                runtime_ms=(time.perf_counter() - started) * 1e3,
-            ))
-            continue
+        sub_rows, sub_extras = run_part(name, part)
         rows.extend(sub_rows)
         extras["tables"].update(sub_extras.get("tables", {}))
     return rows, extras

@@ -267,6 +267,22 @@ def test_defect_survey_peak_does_not_grow_with_the_steps():
     assert growth < stack_bytes, growth / stack_bytes
 
 
+def test_norm_comparison_peak_stays_below_two_stacks():
+    # the fluxed and the loop-corrected paths are replays, and the shear's
+    # autonomous potential is one slice: the traced peak is the Hamiltonian
+    # shear's own (K+1, 2) + grid stack and a few slices
+    config = ExperimentConfig(resolution=16, steps=200).validate()
+    tracemalloc.start()
+    try:
+        rows, _ = scenarios.run_scenario("norm-comparison", config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    stack_bytes = (200 + 1) * 2 * 16**2 * 8
+    assert peak < 2 * stack_bytes, peak / stack_bytes
+
+
 def test_base_transfer_row_fails_when_no_triangle_qualifies(monkeypatch):
     from torusflux import displacement
 

@@ -147,8 +147,13 @@ class TestScenarioCommand:
             ["scenario", "iteration-growth", "--config", str(small_config),
              "--out", str(tmp_path)],
         )
-        assert isinstance(result.exception, KeyError)
-        assert result.exit_code != 2
+        # a failed check, as in verify: reports written, exit code 1
+        assert result.exit_code == 1, result.output
+        assert "FAIL  iteration-growth-error" in result.output
+        csv_text = (tmp_path / "report.csv").read_text()
+        assert "iteration-growth-error,KeyError: 'missing table',1,0,0,false" in csv_text
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert not payload["all_pass"] and len(payload["rows"]) == 1
 
     def test_missing_config_usage_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -380,6 +380,29 @@ class TestRepeatedSlices:
         assert np.array_equal(gen.U, ref_u)
         assert np.array_equal(gen.H, ref_h)
 
+    # an autonomous field's potential is one slice, broadcast; the loop's
+    # cos(2 pi t) profile keeps the dense array
+    @pytest.mark.parametrize("family,dense", [
+        ("hamiltonian_shear", False), ("translation_loop", False),
+        ("hamiltonian_loop", True),
+    ])
+    def test_autonomous_potential_is_one_slice(self, torus, family, dense):
+        from torusflux import families
+
+        iso = getattr(families, family)(torus, 100)
+        ref_u, ref_h = self._per_slice_generator(iso)
+        gen = generator_of(iso)
+        owner = gen.U
+        while owner.base is not None:
+            owner = owner.base
+        if dense:
+            assert owner is gen.U and owner.nbytes == ref_u.nbytes
+        else:
+            assert owner.nbytes <= ref_u[0].nbytes
+        for ours, ref in ((gen.U, ref_u), (gen.H, ref_h)):
+            assert ours.shape == ref.shape
+            assert np.ascontiguousarray(ours).tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("kind", ["x-shear", "y-shear"])
     def test_shear_draw_evaluates_its_profile_once(self, torus, monkeypatch, kind):
         from torusflux import families

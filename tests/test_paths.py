@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusflux import GridMap, c0_distance, generator_of, identity_isotopy, paths
+from torusflux import GridMap, c0_distance, flows, generator_of, identity_isotopy, inverse
 from torusflux.families import (
     shear_profile,
     translation_isotopy,
@@ -299,7 +299,8 @@ class TestRepeatedSlices:
             calls.append(iso)
             return generator_of(iso, *args, **kwargs)
 
-        monkeypatch.setattr(paths, "generator_of", counting)
+        # a stored piece's generator() extracts it
+        monkeypatch.setattr(flows, "generator_of", counting)
         for out in (concat_right(ham_shear, shear, steps=100, with_generator=True),
                     concat_left(shear, ham_shear, steps=100, with_generator=True)):
             assert out.gen is not None
@@ -338,8 +339,6 @@ class TestConcatTrace:
         (False, ("shear", "ham_shear"), 120),
     ])
     def test_trace_route_equals_stacked_route(self, pieces16, left, pieces, steps):
-        from torusflux.hofer import inverse_lengths
-
         first, second = (pieces16[name] for name in pieces)
         trace = concat_trace(first, second, steps, left=left)
         if left:
@@ -347,6 +346,13 @@ class TestConcatTrace:
         else:
             stacked = concat_right(first, second, steps, with_generator=True)
         assert trace.steps == stacked.steps == steps + steps % 2
+        self._assert_replays(trace, stacked)
+
+    @staticmethod
+    def _assert_replays(trace, stacked):
+        """The replay's slices, generator, time-one map and lengths are the stored ones'."""
+        from torusflux.hofer import inverse_lengths
+
         assert _same_bits(trace.times, stacked.times)
         replayed = list(trace.slices())
         assert len(replayed) == stacked.steps + 1
@@ -365,6 +371,48 @@ class TestConcatTrace:
                 assert _same_bits(getattr(ours, name), getattr(theirs, name)), name
             assert (ours.l1_length, ours.linf_length, ours.hofer_l1) == (
                 theirs.l1_length, theirs.linf_length, theirs.hofer_l1)
+
+    @pytest.fixture(scope="class")
+    def nested16(self):
+        """The norm comparison's paths at N = 16, K = 50: (ham, loop, fluxed replay)."""
+        from torusflux import FlatTorus
+        from torusflux.families import hamiltonian_shear, translation_loop
+
+        torus16 = FlatTorus(2, 16, symplectic=True)
+        ham, loop = hamiltonian_shear(torus16, 50), translation_loop(torus16, 50)
+        return ham, loop, concat_trace(ham, loop, None, left=False)
+
+    def test_a_replay_of_a_replay_equals_the_stored_path(self, nested16):
+        ham, loop, fluxed = nested16
+        back = inverse(loop)
+        trace = concat_trace(fluxed, back, 600, left=True)
+        stacked = concat_left(back, concat_right(ham, loop, with_generator=True), 600,
+                              with_generator=True)
+        self._assert_replays(trace, stacked)
+
+    def test_norm_comparison_reads_a_replayed_fluxed_path(self, nested16):
+        from torusflux.hofer import norm_comparison_check
+
+        ham, loop, fluxed = nested16
+        reports = [
+            norm_comparison_check(ham.time_one(), [("direct", ham)],
+                                  fluxed_path=path, matching_loop=loop)
+            for path in (fluxed, concat_right(ham, loop, with_generator=True))
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0].margin_72_5 is not None
+
+    def test_the_time_window_reads_forward_only(self, nested16):
+        from torusflux.flows import TimeWindow
+
+        _, _, fluxed = nested16
+        stored = concat_right(*nested16[:2], with_generator=True)
+        window = TimeWindow(fluxed.times, fluxed.slices())
+        for t in (-0.5, 0.0, 0.2, 0.2, 0.55, 0.9, 1.0, 1.5):
+            assert _same_bits(window.disp_at(t, fluxed.last), stored.disp_at(t)), t
+            assert len(window._held) <= 4
+        with pytest.raises(ValueError, match="dropped"):
+            window.at(0.1)
 
     def test_a_trace_holds_no_stack(self, pieces16):
         # pieces, time grid and one glued time-one map: no (K+1)-slice array
