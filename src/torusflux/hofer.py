@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .flows import (
     GeneratorPair,
@@ -42,7 +41,7 @@ from .flows import (
     generator_of,
     generator_residual,
     inverse,
-    inverse_generator_slices,
+    pullback_potential,
     rotate_coeffs_to_field,
     translation_path,
 )
@@ -55,13 +54,106 @@ MATCH_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
+# Simpson rules
+# ---------------------------------------------------------------------------
+#
+# Both rules do scipy 1.17's arithmetic for samples on a given grid x
+# (``scipy.integrate.simpson`` and ``cumulative_simpson``) in scipy's order,
+# so every integral equals scipy's bit for bit; the reference tests hold
+# them to it.
+
+
+def _basic_simpson(y: np.ndarray, h: np.ndarray, stop: int) -> float:
+    """Composite Simpson sum over the parabolas through y[0:stop + 2]."""
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of 1-D samples y on the increasing grid x.
+
+    An odd number of points is covered by parabolas; an even number leaves
+    the last interval to Cartwright's correction, as scipy does.  Fewer
+    than 3 points raise.
+    """
+    n = len(y)
+    if n < 3:
+        raise ValueError("Simpson integration needs at least 3 points")
+    h = np.diff(x)
+    if n % 2:
+        return _basic_simpson(y, h, n - 2)
+    result = _basic_simpson(y, h, n - 3)
+    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])  # 0-d, as scipy's
+    alpha = (2 * h1**2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1**2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = 1 * h1**3 / (6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0  # scipy adds 0.0 here, which turns a -0.0 into +0.0
+
+
+def _first_intervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the parabola through points i, i+1, i+2
+    (Cartwright's eq. 8), for every i, along the last axis."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[..., :-2] + coeff2 * y[..., 1:-1] + coeff3 * y[..., 2:])
+
+
+def cumulative_simpson(
+    y: np.ndarray, x: np.ndarray, axis: int, initial: float
+) -> np.ndarray:
+    """Running Simpson integral of y along ``axis`` on the increasing 1-D grid x.
+
+    Each interval takes the parabola through it and its right neighbour
+    (the last interval: its left neighbour), the pieces are summed by
+    ``np.cumsum``, and ``initial`` is added and prepended, so the result
+    has y's shape.  Fewer than 3 points raise.
+    """
+    y = np.swapaxes(np.asarray(y, dtype=float), axis, -1)
+    if y.shape[-1] < 3:
+        raise ValueError("cumulative Simpson integration needs at least 3 points")
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("the grid must be strictly increasing")
+    ahead = _first_intervals(y, dx)
+    behind = np.flip(_first_intervals(np.flip(y, axis=-1), np.flip(dx)), axis=-1)
+    pieces = np.empty(y.shape[:-1] + (y.shape[-1] - 1,))
+    pieces[..., :-1:2] = ahead[..., ::2]
+    pieces[..., 1::2] = behind[..., ::2]
+    pieces[..., -1] = behind[..., -1]
+    res = np.cumsum(pieces, axis=-1)
+    res += initial
+    res = np.concatenate((np.full(y.shape[:-1] + (1,), initial), res), axis=-1)
+    return np.swapaxes(res, -1, axis)
+
+
+# ---------------------------------------------------------------------------
 # lengths
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LengthReport:
-    """Length functionals of one isotopy with the per-time traces."""
+    """Length functionals of one isotopy with the per-time traces.
+
+    ``l1_length`` and ``hofer_l1`` are the composite Simpson integrals
+    (:func:`simpson`) of the traces over ``times``; ``linf_length`` is the
+    trace maximum.
+    """
 
     times: np.ndarray
     osc_trace: np.ndarray
@@ -69,7 +161,7 @@ class LengthReport:
 
     @property
     def l1_length(self) -> float:
-        return float(simpson(self.osc_trace + self.harmonic_trace, x=self.times))
+        return float(simpson(self.osc_trace + self.harmonic_trace, self.times))
 
     @property
     def linf_length(self) -> float:
@@ -77,7 +169,7 @@ class LengthReport:
 
     @property
     def hofer_l1(self) -> float:
-        return float(simpson(self.osc_trace, x=self.times))
+        return float(simpson(self.osc_trace, self.times))
 
 
 def _report(times: np.ndarray, pairs) -> LengthReport:
@@ -125,25 +217,44 @@ def _unfolded(torus: FlatTorus, slices):
         yield g
 
 
-def inverse_lengths(isotopy: Isotopy | ConcatTrace) -> LengthReport:
-    """Length report of the inverse path ``t -> phi_t^{-1}``.
+def two_way_lengths(
+    isotopy: Isotopy | ConcatTrace,
+) -> tuple[LengthReport, LengthReport]:
+    """Length reports of a path and of its inverse path ``t -> phi_t^{-1}``.
 
-    Equal to ``lengths(inverse(isotopy))`` but read from the generator of
-    the inverse path, which evaluates only forward maps, in one loop over
-    the slices with no stored trace: each slice passes the fold-over guard
-    :meth:`GridMap.check_unfolded` (which raises :class:`InversionError`),
-    is pulled back (:func:`~torusflux.flows.inverse_generator_slices`) and
-    leaves only its oscillation.  The slices and generator slices are read
-    from ``slices()`` and ``generator()``, stored or replayed (a
-    :class:`~torusflux.paths.ConcatTrace`).  No slice is inverted when the
-    path carries a generator trace or a provenance field, or is a replay;
+    Both come from one pass over ``slices()`` and ``generator()``, stored or
+    replayed (a :class:`~torusflux.paths.ConcatTrace`), so a replayed path
+    is replayed once.  The forward report equals ``lengths(isotopy)``.  The
+    inverse report equals ``lengths(inverse(isotopy))`` but is read from the
+    generator of the inverse path, which evaluates only forward maps, with
+    no stored trace: each slice passes the fold-over guard
+    :meth:`GridMap.check_unfolded` (which raises :class:`InversionError`)
+    and is pulled back as in
+    :func:`~torusflux.flows.inverse_generator_slices`; its harmonic part
+    ``-h`` has the forward ``|h|_1``.  No slice is inverted when the path
+    carries a generator trace or a provenance field, or is a replay;
     otherwise :func:`generator_of`'s data route inverts each forward slice
     once, after every slice has passed the guard.
     """
     maps = _unfolded(isotopy.torus, isotopy.slices())
     if isinstance(isotopy, Isotopy) and isotopy.gen is None and isotopy.provenance is None:
         maps = list(maps)  # guard every slice before the data route
-    return _report(isotopy.times, inverse_generator_slices(maps, isotopy.generator()))
+    times = isotopy.times
+    osc_trace = np.empty(len(times))
+    inverse_osc_trace = np.empty(len(times))
+    harmonic_trace = np.empty(len(times))
+    for k, (g, (u, h)) in enumerate(zip(maps, isotopy.generator())):
+        v = pullback_potential(g, u, h, -1.0)
+        osc_trace[k] = u.max() - u.min()
+        inverse_osc_trace[k] = v.max() - v.min()
+        harmonic_trace[k] = np.abs(h).sum()
+    return (LengthReport(times.copy(), osc_trace, harmonic_trace),
+            LengthReport(times.copy(), inverse_osc_trace, harmonic_trace.copy()))
+
+
+def inverse_lengths(isotopy: Isotopy | ConcatTrace) -> LengthReport:
+    """Length report of the inverse path, :func:`two_way_lengths`' second."""
+    return two_way_lengths(isotopy)[1]
 
 
 def vector_field_b_norm(torus: FlatTorus, samples: np.ndarray) -> float:
@@ -215,7 +326,7 @@ def hodge_split_isotopy(isotopy: Isotopy) -> HodgeSplit:
     # the time integral of the rotated harmonic trace (differencing across
     # cutoff layers would drown in their high derivatives)
     expected = cumulative_simpson(
-        rotate_coeffs_to_field(gen.H.T).T, x=gen.times, axis=0, initial=0.0
+        rotate_coeffs_to_field(gen.H.T).T, gen.times, 0, 0.0
     )
     consistency = float(np.abs(shift - expected).max())
     if consistency > 1e-3:
@@ -264,7 +375,7 @@ class DeformationFamily:
             z = self.z_field[:, j, :]
             v = self.v_field[:, j, :]
             pairing = _omega_pairing(z, v)
-            integral = cumulative_simpson(pairing, x=self.s_grid, initial=0.0)
+            integral = cumulative_simpson(pairing, self.s_grid, 0, 0.0)
             for i in idx:
                 rows.append((float(self.s_grid[i]), 0.0 * float(integral[i]), bound))
         return rows
@@ -288,18 +399,21 @@ def mcduff_deformation(
 
     Builds ``Z_{s,t} = t X_{st} - 2 s int_0^t X`` on a dense (s, t) grid,
     integrates it in s into translation vectors G, and differences in t for
-    V.  Raises when the mean-flux hypothesis fails (mean flux above 1e-8).
+    V (``np.gradient``, second order at the edges).  Every integral, the
+    mean flux, ``int_0^t X`` and G, is the running Simpson rule
+    :func:`cumulative_simpson`.  Raises when the mean-flux hypothesis fails
+    (mean flux above 1e-8).
     """
     t_grid = np.linspace(0.0, 1.0, t_res + 1)
     s_grid = np.linspace(0.0, 1.0, s_res + 1)
     coeffs = np.stack([np.asarray(coeffs_of_t(t), dtype=float) for t in t_grid])
-    mean_flux = cumulative_simpson(coeffs, x=t_grid, axis=0, initial=0.0)[-1]
+    mean_flux = cumulative_simpson(coeffs, t_grid, 0, 0.0)[-1]
     if float(np.abs(mean_flux).max()) > 1e-8:
         raise ValueError(
             f"harmonic family has nonzero mean flux {mean_flux}"
         )
     x_fields = rotate_coeffs_to_field(coeffs.T).T  # (T, d)
-    cum_x = cumulative_simpson(x_fields, x=t_grid, axis=0, initial=0.0)
+    cum_x = cumulative_simpson(x_fields, t_grid, 0, 0.0)
 
     st = s_grid[:, None] * t_grid[None, :]
     x_at_st = np.stack(
@@ -310,7 +424,7 @@ def mcduff_deformation(
         t_grid[None, :, None] * x_at_st
         - 2.0 * s_grid[:, None, None] * cum_x[None, :, :]
     )
-    g_shift = cumulative_simpson(z_field, x=s_grid, axis=0, initial=0.0)
+    g_shift = cumulative_simpson(z_field, s_grid, 0, 0.0)
     v_field = np.gradient(g_shift, t_grid, axis=1, edge_order=2)
 
     sup_x_b = float(np.abs(coeffs).sum(axis=1).max())
@@ -320,7 +434,7 @@ def mcduff_deformation(
         [rotate_coeffs_to_field(np.asarray(coeffs_of_t(s), dtype=float))
          for s in s_grid]
     )
-    cum_x_s = cumulative_simpson(x_at_s, x=s_grid, axis=0, initial=0.0)
+    cum_x_s = cumulative_simpson(x_at_s, s_grid, 0, 0.0)
     endpoint_residual = float(np.abs(g_shift[:, -1, :] - cum_x_s).max())
     return DeformationFamily(
         s_grid, t_grid, coeffs, z_field, g_shift, v_field,
@@ -478,8 +592,9 @@ def energy_invariance_check(
     concatenations take 1600 time steps and are
     :func:`~torusflux.paths.concat_trace` replays: each keeps its pieces
     and its time-one map, and its length is read from the generator slices
-    as they are replayed, with no stored trace or displacement stack.  At
-    1600 steps the Simpson integral of the cutoff rate over one half of the
+    as they are replayed, with no stored trace or displacement stack.  Each
+    length is the composite Simpson rule :func:`simpson` of its trace.  At
+    1600 steps that integral of the cutoff rate over one half of the
     grid is 1 + 9.3e-10, so the concatenated lengths carry a quadrature
     error of that relative size; the row's 1e-9 tolerance is only 1.1 times
     larger.
@@ -553,8 +668,7 @@ def norm_comparison_check(
     if not zero_flux:
         raise ValueError("norm comparison requires a zero-flux path to the target")
 
-    reports = [lengths(iso) for _, iso in zero_flux]
-    inv_reports = [inverse_lengths(iso) for _, iso in zero_flux]
+    reports, inv_reports = zip(*(two_way_lengths(iso) for _, iso in zero_flux))
     hofer_surrogate = 0.5 * (
         min(r.hofer_l1 for r in reports) + min(r.hofer_l1 for r in inv_reports)
     )
@@ -579,11 +693,11 @@ def norm_comparison_check(
         )
         if corrected.time_one().c0_distance(target) > MATCH_TOL:
             raise ValueError("loop-corrected path misses the target map")
-        corr_report = lengths(corrected)
+        corr_report, corr_inverse = two_way_lengths(corrected)
         e0_inf_b = min(e0_inf, corr_report.linf_length)
         margin_72_5 = (72.0 / 5.0) * e0_inf_b + 1e-3 - hofer_surrogate
         e0_list.append(corr_report.l1_length)
-        e0_inv_list.append(inverse_lengths(corrected).l1_length)
+        e0_inv_list.append(corr_inverse.l1_length)
 
     norm_hl = 0.5 * (min(e0_list) + min(e0_inv_list))
     margin_144_5 = (144.0 / 5.0) * norm_hl + 1e-3 - hofer_surrogate

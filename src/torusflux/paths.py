@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .flows import (
     GeneratorPair,
@@ -37,26 +36,83 @@ from .torus import FlatTorus
 _DENSE = 4096
 
 
+def _clamped_spline(knots: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients ``(c0, c1, c2, c3)`` per interval of the
+    clamped cubic spline through ``(knots, y)``, shape ``(4, n - 1)``.
+
+    The spline is ``scipy.interpolate.CubicSpline(knots, y,
+    bc_type="clamped")`` computed in scipy 1.17's order, bit for bit: its
+    tridiagonal system for the knot slopes, solved as LAPACK ``dgtsv``
+    does (elimination down, substitution up, in a loop over floats), and
+    ``CubicHermiteSpline``'s coefficients.  The system is diagonally
+    dominant (diagonal 4h against off-diagonals h, clamped rows 1 against
+    h), so ``dgtsv`` never swaps rows; the loop asserts it.
+    """
+    dx = np.diff(knots)
+    slope = np.diff(y) / dx
+    n = len(knots)
+    diag = np.ones(n)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper = np.zeros(n - 1)
+    upper[1:] = dx[:-1]
+    lower = np.zeros(n - 1)
+    lower[:-1] = dx[1:]
+    rhs = np.zeros(n)  # clamped ends: zero end slopes
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d, du, dl, b = diag.tolist(), upper.tolist(), lower.tolist(), rhs.tolist()
+    for i in range(n - 1):
+        assert abs(d[i]) >= abs(dl[i]) and d[i] != 0.0, "dgtsv would swap rows or stop at a zero pivot"
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        # dgtsv's fill-in term, zero without swaps; it turns -0.0 into +0.0
+        b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+    s = np.array(b)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _eval_spline(coeffs: np.ndarray, knots: np.ndarray, t, nu: int) -> np.ndarray:
+    """Value (``nu = 0``) or first derivative (``nu = 1``) at t of the
+    piecewise cubic ``coeffs``, summed as scipy's ``PPoly`` sums it."""
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    c0, c1, c2, c3 = coeffs[:, i]
+    s = t - knots[i]
+    z = s * s
+    # each sum starts from 0.0, as PPoly's does
+    if nu == 0:
+        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
+    return 0.0 + c2 + c1 * s * 2.0 + c0 * z * 3.0
+
+
 @dataclass(frozen=True)
 class CutoffFunction:
-    """Smooth ramp f: [0,1] -> [0,1], flat on [0, delta] and [1-delta, 1]."""
+    """Smooth ramp f: [0,1] -> [0,1], flat on [0, delta] and [1-delta, 1].
+
+    Between the flat ends f is the clamped cubic spline through
+    ``samples`` on a uniform grid of [0, 1] (:func:`_clamped_spline`),
+    clipped to [0, 1], and f' is that spline's derivative, clipped at 0.
+    """
 
     delta: float
     samples: np.ndarray
     sup_slope: float
 
-    @property
-    def _spline(self) -> CubicSpline:
+    def _spline(self, t, nu: int) -> np.ndarray:
         cached = self.__dict__.get("_spline_cache")
         if cached is None:
-            s = np.linspace(0.0, 1.0, len(self.samples))
-            cached = CubicSpline(s, self.samples, bc_type="clamped")
+            knots = np.linspace(0.0, 1.0, len(self.samples))
+            cached = knots, _clamped_spline(knots, self.samples)
             self.__dict__["_spline_cache"] = cached
-        return cached
+        knots, coeffs = cached
+        return _eval_spline(coeffs, knots, t, nu)
 
     def value(self, t) -> np.ndarray:
         t = np.clip(t, 0.0, 1.0)
-        inner = np.clip(self._spline(t), 0.0, 1.0)
+        inner = np.clip(self._spline(t, 0), 0.0, 1.0)
         return np.where(t <= self.delta, 0.0,
                         np.where(t >= 1.0 - self.delta, 1.0, inner))
 

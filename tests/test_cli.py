@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -295,3 +299,18 @@ class TestVerifyErrorRows:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert not payload["all_pass"]
         assert len(payload["rows"]) == 10  # 7 scenarios, disp, 2 errors
+
+
+def test_runtime_imports_no_scipy_solver_package():
+    # the lab owns its Simpson rules and the cutoff's spline: at run time
+    # only numpy and scipy.ndimage are imported
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    heavy = ["scipy.integrate", "scipy.interpolate", "scipy.optimize",
+             "scipy.sparse", "scipy.linalg"]
+    code = ("import sys, torusflux.scenarios, torusflux.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"

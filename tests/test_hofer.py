@@ -18,6 +18,7 @@ from torusflux.families import (
 )
 from torusflux.flux import flux_class
 from torusflux.hofer import (
+    cumulative_simpson,
     energy_invariance_check,
     energy_surrogate,
     fgeo_deformation,
@@ -27,6 +28,8 @@ from torusflux.hofer import (
     lengths,
     mcduff_deformation,
     norm_comparison_check,
+    simpson,
+    two_way_lengths,
     vector_field_b_norm,
 )
 from torusflux.paths import concat_left, concat_right, concat_trace
@@ -37,6 +40,46 @@ def _same_traces(a, b):
         np.array_equal(getattr(a, name), getattr(b, name))
         for name in ("times", "osc_trace", "harmonic_trace")
     )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSimpsonRules:
+    """The owned rules against scipy 1.17's, bit for bit (scipy is the oracle)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 51, 52, 201, 202, 1600, 1601])
+    def test_simpson_equals_scipy(self, n, rng):
+        from scipy.integrate import simpson as scipy_simpson
+
+        uniform = np.linspace(0.0, 1.0, n)
+        irregular = np.cumsum(rng.random(n) + 0.01)
+        for x in (uniform, irregular):
+            for y in (rng.standard_normal(n), np.abs(np.sin(7.0 * x))):
+                assert _same_bits(simpson(y, x), scipy_simpson(y, x=x))
+
+    @pytest.mark.parametrize("shape", [(65,), (65, 2), (4, 65), (65, 65, 2), (3, 5, 7)])
+    def test_cumulative_simpson_equals_scipy(self, shape, rng):
+        from scipy.integrate import cumulative_simpson as scipy_cumulative
+
+        y = rng.standard_normal(shape)
+        for axis in range(len(shape)):
+            if shape[axis] < 3:
+                continue
+            x = np.linspace(0.0, 1.0, shape[axis])
+            ours = cumulative_simpson(y, x, axis, 0.0)
+            ref = scipy_cumulative(y, x=x, axis=axis, initial=0.0)
+            assert _same_bits(ours, ref)
+            # same memory layout, so later reductions see the same order
+            assert ours.strides == ref.strides
+
+    def test_both_rules_need_three_points(self):
+        with pytest.raises(ValueError):
+            simpson(np.ones(2), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            cumulative_simpson(np.ones(2), np.array([0.0, 1.0]), 0, 0.0)
 
 
 class TestLengths:
@@ -282,6 +325,13 @@ class TestSurrogates:
 
 
 class TestInverseLengths:
+    def test_two_way_lengths_read_both_reports(self, ham_shear, trans_loop):
+        replay = concat_trace(ham_shear, trans_loop, None, left=False)
+        for path in (ham_shear, replay):
+            forward, backward = two_way_lengths(path)
+            assert _same_traces(forward, lengths(path))
+            assert _same_traces(backward, inverse_lengths(path))
+
     def test_provenance_route(self, ham_shear):
         assert ham_shear.gen is None and ham_shear.provenance is not None
         assert _same_traces(inverse_lengths(ham_shear), lengths(inverse(ham_shear)))
@@ -414,6 +464,26 @@ class TestNormComparison:
         )
         # only the matching loop, whose displacement the corrected path reads
         assert len(inverted) == 1 and inverted[0] is trans_loop
+
+    def test_replayed_paths_are_read_once(self, ham_shear, trans_loop, monkeypatch):
+        # the corrected path replays the fluxed one, whose right half
+        # inverts the shear's time-one map: one pass, one inversion
+        from torusflux.flows import GridMap
+
+        calls = []
+        solve = GridMap.inverse
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return solve(self, *args, **kwargs)
+
+        fluxed = concat_trace(ham_shear, trans_loop, None, left=False)
+        monkeypatch.setattr(GridMap, "inverse", counting)
+        norm_comparison_check(
+            ham_shear.time_one(), [("direct", ham_shear)],
+            fluxed_path=fluxed, matching_loop=trans_loop,
+        )
+        assert len(calls) == 1
 
     def test_nonzero_flux_candidate_rejected(self, torus, shear):
         with pytest.raises(ValueError):

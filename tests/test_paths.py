@@ -12,6 +12,8 @@ from torusflux.flux import flux_class, orbit_of
 from torusflux.flows import interp_time
 from torusflux.hofer import lengths
 from torusflux.paths import (
+    _clamped_spline,
+    _eval_spline,
     concat_left,
     concat_right,
     concat_trace,
@@ -65,6 +67,37 @@ class TestCutoff:
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(vals[s <= delta] == 0.0)
         assert np.all(vals[s >= 1.0 - delta] == 1.0)
+
+
+class TestClampedSpline:
+    """The cutoff's spline against scipy's ``CubicSpline``, bit for bit
+    (scipy is the oracle)."""
+
+    @pytest.mark.parametrize("delta", [1.0 / 32.0, 1.0 / 8.0])
+    def test_equals_scipy_cubic_spline(self, delta, rng):
+        from scipy.interpolate import CubicSpline
+
+        cut = default_cutoff() if delta == 1.0 / 32.0 else make_cutoff(delta)
+        assert cut.delta == delta
+        knots = np.linspace(0.0, 1.0, len(cut.samples))
+        ref = CubicSpline(knots, cut.samples, bc_type="clamped")
+        coeffs = _clamped_spline(knots, cut.samples)
+        assert _same_bits(coeffs, ref.c)
+        between = 0.5 * (knots[:-1] + knots[1:])
+        t = np.concatenate([knots, between, rng.random(5000), [0.0, 1.0]])
+        for nu in (0, 1):
+            assert _same_bits(_eval_spline(coeffs, knots, t, nu), ref(t, nu))
+            for s in (0.0, 1.0, 0.3, between[100]):
+                assert _same_bits(_eval_spline(coeffs, knots, s, nu), ref(s, nu))
+        # the cutoff as it reads scipy's spline, clipped inputs included
+        u = np.concatenate([t, [-0.5, -1e-9, 1.0 + 1e-9, 2.0]])
+        c = np.clip(u, 0.0, 1.0)
+        flat = (c <= delta) | (c >= 1.0 - delta)
+        value = np.where(c <= delta, 0.0,
+                         np.where(c >= 1.0 - delta, 1.0, np.clip(ref(c), 0.0, 1.0)))
+        deriv = np.where(flat, 0.0, np.maximum(ref(c, 1), 0.0))
+        assert _same_bits(cut.value(u), value)
+        assert _same_bits(cut.deriv(u), deriv)
 
 
 class TestConcat:
