@@ -10,8 +10,10 @@ unless ``--seed``, ``--resolution`` or ``--steps`` change it.  Each part of
 ``verify`` (``scenarios.verify_parts``: one per scenario, plus the
 displacement and the length rows) runs on a fresh workbench, so its peak
 includes the canonical isotopies it builds and does not depend on the order
-of the parts.  Without ``--part`` the whole ``run_verify`` follows, as the
-line ``verify``.
+of the parts.  Without ``--part`` one pass over the parts on one workbench
+follows, as ``run_verify`` makes it, as the line ``verify``: the peak is
+reset between parts, so the line also names the part at which the whole
+run peaked.
 
 The peak is the one ``tracemalloc`` records, numpy arrays included: for a
 given config and library build it is the same to about 0.3 MiB across
@@ -26,7 +28,7 @@ import tracemalloc
 from pathlib import Path
 
 from torusflux.config import ExperimentConfig
-from torusflux.scenarios import Workbench, run_verify, verify_parts
+from torusflux.scenarios import Workbench, run_part, verify_parts
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -41,6 +43,21 @@ def traced_peak(call) -> tuple[int, list]:
     finally:
         tracemalloc.stop()
     return peak, rows
+
+
+def verify_peak(config: ExperimentConfig) -> tuple[int, str, list]:
+    """``(peak bytes, the part at the peak, rows)`` of one verify pass."""
+    peaks, rows = {}, []
+    tracemalloc.start()
+    try:
+        for name, part in verify_parts(Workbench(config)):
+            tracemalloc.reset_peak()
+            rows.extend(run_part(name, part)[0])
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    at = max(peaks, key=peaks.get)
+    return peaks[at], at, rows
 
 
 def main() -> int:
@@ -67,9 +84,10 @@ def main() -> int:
         passed = sum(row.passed for row in rows)
         print(f"{name:<18} {peak / 2**20:8.1f} MiB  {passed}/{len(rows)} rows pass")
     if args.part is None:
-        peak, rows = traced_peak(lambda: run_verify(config))
+        peak, at, rows = verify_peak(config)
         passed = sum(row.passed for row in rows)
-        print(f"{'verify':<18} {peak / 2**20:8.1f} MiB  {passed}/{len(rows)} rows pass")
+        print(f"{'verify':<18} {peak / 2**20:8.1f} MiB  {passed}/{len(rows)} rows pass"
+              f"  peak in {at}")
     return 0
 
 

@@ -106,8 +106,14 @@ class TrigHamiltonian:
         return np.sin(phase) @ self.amps
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        phase = 2.0 * np.pi * points @ self.modes.T + self.phases
-        terms = self.amps * np.cos(phase) * 2.0 * np.pi
+        # value()'s phase and amps * cos(phase) * 2 * pi, each scalar step
+        # done in place, in the same order
+        terms = 2.0 * np.pi * points @ self.modes.T
+        terms += self.phases
+        np.cos(terms, out=terms)
+        terms *= self.amps
+        terms *= 2.0
+        terms *= np.pi
         return terms @ self.modes
 
     def field(self, time_profile: Callable[[float], float] | None = None) -> TimeField:

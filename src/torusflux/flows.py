@@ -20,6 +20,7 @@ per symplectic pair the 1-form coefficients of ``i(X)omega`` are
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -351,8 +352,27 @@ class GridMap:
 
     def pullback(self, components: np.ndarray) -> np.ndarray:
         """Pullback of a sampled 1-form: ``(phi^* a)_i = (Da)_ji a_j(phi)``."""
-        vals = self.compose_field(self.torus.check_vector(components))
-        return np.einsum("ji...,j...->i...", self.jacobian(), vals)
+        return self.pull_coeffs(self.compose_field(self.torus.check_vector(components)))
+
+    def pull_coeffs(self, vals: np.ndarray) -> np.ndarray:
+        """``sum_j D(phi)[j, i] vals[j]``, shape ``(d,) + grid``.
+
+        One Jacobian row j at a time, summed as the einsum
+        ``"ji...,j...->i..."`` sums, bit for bit (from +0.0, j ascending),
+        so no ``(d, d) + grid`` Jacobian is held.
+        """
+        out = None
+        for j in range(self.torus.dim):
+            term = grad(self.torus, self.disp[j])
+            term[j] += 1.0
+            term *= vals[j]
+            if out is None:
+                out = term
+                out += 0.0  # the sum starts from +0.0: a -0.0 product reads +0.0
+            else:
+                out += term
+            del term  # not held while the next row's gradient is computed
+        return out
 
     def c0_distance(self, other: "GridMap | None" = None) -> float:
         """Sup over the grid of the flat distance to another map (default id)."""
@@ -487,8 +507,10 @@ class Isotopy:
     Immutable after construction: ``times`` and ``disp`` are read-only
     arrays, so isotopies can be shared.  ``provenance`` optionally keeps the
     generating :class:`TimeField`; ``gen`` optionally carries an exact
-    generator trace attached by the constructor (flows, concatenations,
-    harmonic paths).  Interpolation is periodic cubic in space and
+    generator trace attached by the constructor (concatenations, harmonic
+    paths), or a function of other paths that computes it, which
+    :func:`generator_of` replaces by its result when it first reads it
+    (:func:`inverse`).  Interpolation is periodic cubic in space and
     piecewise cubic in time.
     """
 
@@ -497,7 +519,8 @@ class Isotopy:
     disp: np.ndarray  # (K+1, d) + grid
     kind: str = "general"
     provenance: TimeField | None = None
-    gen: GeneratorPair | None = field(default=None, repr=False)
+    gen: GeneratorPair | Callable[[], GeneratorPair] | None = field(
+        default=None, repr=False)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -564,27 +587,33 @@ class Isotopy:
         return out
 
     def velocity_samples(self, k: int) -> np.ndarray:
-        """d/dt of the lifted displacement at time index k (at start points).
+        """d/dt of the lifted displacement at time index k (at start points)."""
+        return velocity_stencil(self.disp.__getitem__, k, self.times)
 
-        4th-order centered differences in the interior (the Richardson
-        refinement of the plain centered stencil), lower-order one-sided
-        stencils near the endpoints.
-        """
-        dt = self.times[1] - self.times[0]
-        u = self.disp
-        if 2 <= k <= self.steps - 2:
-            return (-u[k + 2] + 8 * u[k + 1] - 8 * u[k - 1] + u[k - 2]) / (12 * dt)
-        if k == 0:
-            return (-25 * u[0] + 48 * u[1] - 36 * u[2] + 16 * u[3] - 3 * u[4]) / (
-                12 * dt
-            )
-        if k == 1:
-            return (-3 * u[0] - 10 * u[1] + 18 * u[2] - 6 * u[3] + u[4]) / (12 * dt)
-        if k == self.steps:
-            return (25 * u[-1] - 48 * u[-2] + 36 * u[-3] - 16 * u[-4] + 3 * u[-5]) / (
-                12 * dt
-            )
-        return (3 * u[-1] + 10 * u[-2] - 18 * u[-3] + 6 * u[-4] - u[-5]) / (12 * dt)
+
+def velocity_stencil(u: Callable[[int], np.ndarray], k: int, times: np.ndarray) -> np.ndarray:
+    """d/dt at time index k of the slices ``u(j)`` on the uniform grid ``times``.
+
+    4th-order centered differences in the interior (the Richardson
+    refinement of the plain centered stencil), lower-order one-sided
+    stencils near the endpoints; ``u`` takes negative indices as a stack
+    does, and is called only for the five slices the stencil reads.
+    """
+    dt = times[1] - times[0]
+    steps = len(times) - 1
+    if 2 <= k <= steps - 2:
+        return (-u(k + 2) + 8 * u(k + 1) - 8 * u(k - 1) + u(k - 2)) / (12 * dt)
+    if k == 0:
+        return (-25 * u(0) + 48 * u(1) - 36 * u(2) + 16 * u(3) - 3 * u(4)) / (
+            12 * dt
+        )
+    if k == 1:
+        return (-3 * u(0) - 10 * u(1) + 18 * u(2) - 6 * u(3) + u(4)) / (12 * dt)
+    if k == steps:
+        return (25 * u(-1) - 48 * u(-2) + 36 * u(-3) - 16 * u(-4) + 3 * u(-5)) / (
+            12 * dt
+        )
+    return (3 * u(-1) + 10 * u(-2) - 18 * u(-3) + 6 * u(-4) - u(-5)) / (12 * dt)
 
 
 def flow(x_field: TimeField, steps: int) -> Isotopy:
@@ -639,7 +668,9 @@ def flow_slices(x_field: TimeField, steps: int, keep: np.ndarray):
             yield translation_stack(torus, shift)[0]
         return
     for p in trajectory_slices(x_field, torus.points, steps, keep):
-        yield (p - torus.points).T.reshape((torus.dim,) + torus.shape)
+        disp = (p - torus.points).T.reshape((torus.dim,) + torus.shape)
+        del p  # RK4 moves on from p: holding it would keep a second position array
+        yield disp
 
 
 @dataclass(frozen=True)
@@ -678,6 +709,12 @@ def trajectory_slices(
     ``keep`` holds increasing indices of the uniform K-step grid on [0, 1]
     (None: all K + 1); every one of the K steps is taken.  Each position
     array is yielded once and never written again.
+
+    A step is the textbook ``p + (dt/6) * (k1 + 2 k2 + 2 k3 + k4)``, bit
+    for bit: the sum is accumulated in that order as the stages arrive, no
+    stage is written, and each stage is dropped once it has been used, so
+    a field is evaluated while only the positions, the sum and the stage
+    argument are held.
     """
     p = np.array(points, dtype=float)
     kept = set(range(steps + 1)) if keep is None else {int(k) for k in keep}
@@ -686,11 +723,26 @@ def trajectory_slices(
     dt = 1.0 / steps
     for k in range(steps):
         t = k * dt
-        k1 = x_field(t, p)
-        k2 = x_field(t + dt / 2, p + (dt / 2) * k1)
-        k3 = x_field(t + dt / 2, p + (dt / 2) * k2)
-        k4 = x_field(t + dt, p + dt * k3)
-        p = p + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        acc = x_field(t, p)  # k1
+        arg = p + (dt / 2) * acc
+        stage = x_field(t + dt / 2, arg)  # k2
+        del arg
+        acc = acc + 2 * stage
+        arg = p + (dt / 2) * stage
+        del stage
+        stage = x_field(t + dt / 2, arg)  # k3
+        del arg
+        acc += 2 * stage
+        arg = p + dt * stage
+        del stage
+        stage = x_field(t + dt, arg)  # k4
+        del arg
+        acc += stage
+        del stage
+        acc *= dt / 6
+        acc += p  # p + acc, in the sum's buffer; the old p is not written
+        p = acc
+        del acc
         if not np.all(np.isfinite(p)):
             raise IntegrationError(f"non-finite flow values at t = {t + dt:.6f}")
         if k + 1 in kept:
@@ -736,29 +788,46 @@ def velocity(isotopy: Isotopy, t: float) -> np.ndarray:
 def generator_of(isotopy: Isotopy) -> GeneratorPair:
     """Generator pair (U, H) of a symplectic isotopy.
 
-    Prefers an exact trace attached at construction, then the provenance
-    field, then the honest finite-difference route.
+    Prefers an exact trace attached at construction (computed on the first
+    read if it was attached as a function, and kept in the function's
+    place, which drops the function's references to other paths), then
+    the provenance field, then the honest finite-difference route.
     """
     torus = isotopy.torus
     if not torus.symplectic:
         raise ValueError("generator extraction requires a symplectic torus")
+    if callable(isotopy.gen):
+        object.__setattr__(isotopy, "gen", isotopy.gen())
     if isotopy.gen is not None:
         return isotopy.gen
     if isotopy.provenance is not None:
         return _generator_from_field(isotopy)
     k1 = isotopy.steps + 1
     U = np.empty((k1,) + torus.shape)
-    H = np.empty((k1, torus.dim))
     for k in range(k1):
         x_samples = velocity(isotopy, isotopy.times[k])
-        form = hodge_decompose(torus, contract_field_to_coeffs(x_samples))
-        U[k] = form.potential
-        # the harmonic part is the start-point mean of the contracted
-        # orbit velocity (exact under volume preservation), which avoids
-        # the interpolation error of the composed samples
+        U[k] = hodge_decompose(torus, contract_field_to_coeffs(x_samples)).potential
+    return GeneratorPair(isotopy.times.copy(), U, harmonic_trace(isotopy))
+
+
+def harmonic_trace(isotopy: Isotopy) -> np.ndarray:
+    """``generator_of(isotopy).H``, bit for bit, shape ``(K+1, d)``.
+
+    On the data route (no attached trace, no provenance field) H is, per
+    slice, the start-point mean of the contracted orbit velocity (exact
+    under volume preservation), which avoids the interpolation error of the
+    composed samples: no slice is inverted and no ``U`` is built.
+    """
+    if isotopy.gen is not None or isotopy.provenance is not None:
+        return generator_of(isotopy).H
+    dim = isotopy.torus.dim
+    if not isotopy.torus.symplectic:
+        raise ValueError("generator extraction requires a symplectic torus")
+    H = np.empty((isotopy.steps + 1, dim))
+    for k in range(isotopy.steps + 1):
         w = contract_field_to_coeffs(isotopy.velocity_samples(k))
-        H[k] = w.reshape(torus.dim, -1).mean(axis=1)
-    return GeneratorPair(isotopy.times.copy(), U, H)
+        H[k] = w.reshape(dim, -1).mean(axis=1)
+    return H
 
 
 def _generator_from_field(isotopy: Isotopy) -> GeneratorPair:
@@ -822,6 +891,9 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     negated shift, with +0.0 at slice 0: its stack is a
     :func:`translation_stack` broadcast and its generator's function part
     the exact 0.0 broadcast, so no ``(K+1, d) + grid`` array is written.
+    Any other path whose forward generator is exact gets
+    :func:`inverse_generator`'s trace, computed only when
+    :func:`generator_of` first reads it.
     """
     torus = isotopy.torus
     exact_gen = torus.symplectic and (
@@ -840,7 +912,10 @@ def inverse(isotopy: Isotopy) -> Isotopy:
     stack[0] = 0.0
     for k, disp in enumerate(inverse_slices(isotopy), 1):
         stack[k] = disp
-    gen = inverse_generator(isotopy) if exact_gen else None
+    # computed when first read: a partial of the forward path, so the
+    # inverse holds no reference to itself, and the forward path only
+    # until then
+    gen = functools.partial(inverse_generator, isotopy) if exact_gen else None
     return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
 
 
@@ -938,22 +1013,25 @@ def compose_pointwise(phi: Isotopy, psi: Isotopy) -> Isotopy:
     return Isotopy(torus, phi.times.copy(), stack, kind=kind)
 
 
-def c0_distance(phi: Isotopy, psi: Isotopy | None = None) -> float:
+def c0_distance(phi, psi=None) -> float:
     """Sup over (t, grid x) of the flat-torus distance between the paths.
 
     ``psi=None`` compares against the constant identity path.  Different
-    time grids are resampled onto the finer one.
+    time grids are resampled onto the finer one.  Both paths are read slice
+    by slice (``slices()``), so either may be replayed.
     """
     if psi is not None and psi.steps > phi.steps:
         phi, psi = psi, phi
+    others = None
+    if psi is not None:
+        others = psi.slices()
+        if psi.steps != phi.steps:
+            window = TimeWindow(psi.times, others)
+            others = (window.disp_at(float(t), psi.last) for t in phi.times)
     worst = 0.0
-    for k, t in enumerate(phi.times):
-        other = None
-        if psi is not None:
-            other = GridMap(
-                phi.torus, psi.disp[k] if psi.steps == phi.steps else psi.disp_at(t)
-            )
-        worst = max(worst, GridMap(phi.torus, phi.disp[k]).c0_distance(other))
+    for disp in phi.slices():
+        other = None if others is None else GridMap(phi.torus, next(others))
+        worst = max(worst, GridMap(phi.torus, disp).c0_distance(other))
     return worst
 
 

@@ -295,7 +295,9 @@ def factorization2_check(
     spectral Jacobians, at ``time_samples`` indices of the K-step grid (all
     by default).  Each sampled slice is read once, as the flow reaches it
     (:func:`~torusflux.flows.flow_slices`), so no T^4 stack is held; the
-    last one is the time-one map.
+    last one is the time-one map.  The Jacobian is applied one row at a
+    time and a slice is released before the flow moves on, so at most one
+    slice and a few ``(d,) + grid`` arrays are held.
     """
     torus = x_field.torus
     if torus.dim != 4 or not torus.symplectic:
@@ -310,12 +312,14 @@ def factorization2_check(
     for row, disp in enumerate(flow_slices(x_field, steps, ks)):
         slice_map = GridMap(torus, disp)
         vel = x_field(times[row], slice_map.image_points())
-        vel = vel.T.reshape((torus.dim,) + torus.shape)
-        pulled = np.einsum(
-            "ji...,j...->i...", slice_map.jacobian(), contract_field_to_coeffs(vel)
-        )
+        coeffs = contract_field_to_coeffs(vel.T.reshape((torus.dim,) + torus.shape))
+        del vel
+        pulled = slice_map.pull_coeffs(coeffs)  # no (d, d) + grid Jacobian
         means[row] = pulled.reshape(torus.dim, -1).mean(axis=1)
-    lhs = _flux_class_at(torus, disp).pairings  # the last slice: the time-one map
+        if row == len(ks) - 1:  # the last slice: the time-one map
+            lhs = _flux_class_at(torus, disp).pairings
+        # released before RK4 computes the next slice
+        del disp, slice_map, coeffs, pulled
     omega_flux = np.trapezoid(means, times, axis=0)
 
     pairs = _symplectic_pairs(torus.dim)

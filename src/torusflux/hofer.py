@@ -27,6 +27,7 @@ Hamiltonian one with the same endpoints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,10 +41,12 @@ from .flows import (
     flow_tolerance,
     generator_of,
     generator_residual,
+    harmonic_trace,
     inverse,
     pullback_potential,
     rotate_coeffs_to_field,
     translation_path,
+    velocity_stencil,
 )
 from .flux import flux_class
 from .paths import ConcatTrace, concat_trace
@@ -276,12 +279,77 @@ def vector_field_b_norm(torus: FlatTorus, samples: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class SplitRemainder:
+    """The Hamiltonian remainder ``rho_t^{-1} o phi_t`` of a Hodge split, replayed.
+
+    Slice k is ``path.disp[k] - rho.disp[k]`` (slice 0 the exact +0.0),
+    made when it is read, in the layout a stored difference stack's slice
+    has, so it is that slice bit for bit.  Its generator ``(U_t o rho_t -
+    mean, 0)`` is computed from :func:`generator_of` of ``path`` only when
+    :meth:`generator` is first read, so a path with no trace and no
+    provenance field pays its data-route ``U`` (one Newton inversion per
+    slice) only then, and once: the remainder keeps that pair.  It answers
+    the path protocol (``times``, ``last``, ``slices()``, ``generator()``,
+    ``time_one()``) and :meth:`velocity_samples`.
+    """
+
+    path: Isotopy
+    rho: Isotopy
+    provenance = None  # no field generates it: orbits go through ``time_one()``
+
+    @property
+    def torus(self) -> FlatTorus:
+        return self.path.torus
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.path.times
+
+    @property
+    def steps(self) -> int:
+        return self.path.steps
+
+    def slice_at(self, k: int) -> np.ndarray:
+        """Slice k (negative k counts from the end, as in a stack)."""
+        out = self.path.disp[k] - self.rho.disp[k]
+        if k % (self.steps + 1) == 0:
+            out[...] = 0.0  # the identity slice, +0.0 as a stored path's
+        return out
+
+    @property
+    def last(self) -> np.ndarray:
+        return self.slice_at(-1)
+
+    def time_one(self) -> GridMap:
+        return GridMap(self.torus, self.last)
+
+    def slices(self):
+        """Yield the displacement slices, shape ``(d,) + grid``."""
+        return map(self.slice_at, range(self.steps + 1))
+
+    def velocity_samples(self, k: int) -> np.ndarray:
+        """:meth:`Isotopy.velocity_samples` of the remainder's slices."""
+        return velocity_stencil(self.slice_at, k, self.times)
+
+    @functools.cached_property
+    def _path_generator(self) -> GeneratorPair:
+        return generator_of(self.path)
+
+    def generator(self):
+        """Yield the generator slices ``(u_k, h_k)``; ``h_k`` is 0."""
+        gen = self._path_generator
+        for k in range(self.steps + 1):
+            vals = GridMap(self.torus, self.rho.disp[k]).compose_field(gen.U[k])
+            yield vals - vals.mean(), np.zeros(self.torus.dim)
+
+
 @dataclass(frozen=True)
 class HodgeSplit:
     """Factorization phi_t = rho_t o psi_t into harmonic and Hamiltonian parts."""
 
     harmonic_path: Isotopy
-    remainder: Isotopy
+    remainder: SplitRemainder
     remainder_flux: float
     harmonic_consistency: float
 
@@ -300,33 +368,31 @@ def hodge_split_isotopy(isotopy: Isotopy) -> HodgeSplit:
 
     rho is the :func:`~torusflux.flows.translation_path` of the ``(K+1, d)``
     shift: its stack and its all-zero ``U`` are read-only broadcasts, not
-    dense ``(K+1, d) + grid`` arrays.
+    dense ``(K+1, d) + grid`` arrays.  The harmonic trace is
+    :func:`~torusflux.flows.harmonic_trace`'s, so a path with no trace and
+    no provenance field inverts no slice; each of its slices passes the
+    fold-over guard :meth:`GridMap.check_unfolded` instead, which raises
+    :class:`InversionError` naming the slice.  The remainder is a
+    :class:`SplitRemainder`, which stores no slice and builds its generator
+    only when it is read.
     """
     torus = isotopy.torus
-    gen = generator_of(isotopy)
-    k1 = len(gen.times)
+    if isotopy.gen is None and isotopy.provenance is None:
+        for _ in _unfolded(torus, isotopy.slices()):
+            pass
+    H = harmonic_trace(isotopy)
+    k1 = isotopy.steps + 1
     shift = isotopy.disp.reshape(k1, torus.dim, -1).mean(axis=2)  # (K+1, d)
     # +0.0, the mean of the identity slice: rho starts at the identity
     assert not shift[0].any() and not np.signbit(shift[0]).any()
-    rho = translation_path(torus, gen.times.copy(), shift, gen.H.copy())
-
-    rem_stack = isotopy.disp - rho.disp
-    rem_stack[0] = 0.0
-    rem_u = np.empty((k1,) + torus.shape)
-    for k in range(k1):
-        vals = GridMap(torus, rho.disp[k]).compose_field(gen.U[k])
-        rem_u[k] = vals - vals.mean()
-    rem_gen = GeneratorPair(gen.times.copy(), rem_u, np.zeros((k1, torus.dim)))
-    remainder = Isotopy(
-        torus, gen.times.copy(), rem_stack, kind="hamiltonian", gen=rem_gen
-    )
-
+    rho = translation_path(torus, isotopy.times.copy(), shift, H.copy())
+    remainder = SplitRemainder(isotopy, rho)
     rem_flux = flux_class(remainder).norm()
     # consistency in integral form: the mean-displacement shift must retrace
     # the time integral of the rotated harmonic trace (differencing across
     # cutoff layers would drown in their high derivatives)
     expected = cumulative_simpson(
-        rotate_coeffs_to_field(gen.H.T).T, gen.times, 0, 0.0
+        rotate_coeffs_to_field(H.T).T, isotopy.times, 0, 0.0
     )
     consistency = float(np.abs(shift - expected).max())
     if consistency > 1e-3:
@@ -416,10 +482,10 @@ def mcduff_deformation(
     cum_x = cumulative_simpson(x_fields, t_grid, 0, 0.0)
 
     st = s_grid[:, None] * t_grid[None, :]
-    x_at_st = np.stack(
-        [rotate_coeffs_to_field(np.asarray(coeffs_of_t(v), dtype=float))
-         for v in st.ravel()]
-    ).reshape(len(s_grid), len(t_grid), torus.dim)
+    # filled in place: a list of (S T) small arrays would outweigh the grid
+    x_at_st = np.empty(st.shape + (torus.dim,))
+    for idx, v in np.ndenumerate(st):
+        x_at_st[idx] = rotate_coeffs_to_field(np.asarray(coeffs_of_t(v), dtype=float))
     z_field = (
         t_grid[None, :, None] * x_at_st
         - 2.0 * s_grid[:, None, None] * cum_x[None, :, :]
@@ -455,7 +521,7 @@ class FgeoReport:
     endpoint_gap: float
 
 
-def fgeo_deformation(isotopy: Isotopy) -> tuple[Isotopy, FgeoReport]:
+def fgeo_deformation(isotopy: Isotopy) -> tuple[SplitRemainder, FgeoReport]:
     """Deform a zero-flux symplectic path into a Hamiltonian one.
 
     The harmonic part rho of the Hodge split is post-composed with the s=1
@@ -463,7 +529,8 @@ def fgeo_deformation(isotopy: Isotopy) -> tuple[Isotopy, FgeoReport]:
     translations cancelling rho, and what remains is the Hamiltonian
     remainder with the same endpoints.  The report carries the harmonic
     residual of the output generator measured from the displacement data and
-    the endpoint gap.
+    the endpoint gap.  The output is the split's replayed
+    :class:`SplitRemainder`: no slice of it is stored.
     """
     torus = isotopy.torus
     fc = flux_class(isotopy)

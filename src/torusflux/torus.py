@@ -250,9 +250,10 @@ class PeriodicInterp:
 
 
 # complex entries allowed in the widest intermediate of eval_spectral, the
-# (points, c * N^(d-1)) product of the first axis (2^21 entries = 32 MB);
-# larger point sets are evaluated in chunks
-SPECTRAL_BUDGET = 1 << 21
+# (points, c * N^(d-1)) product of the first axis (2^17 entries = 2 MiB);
+# larger point sets are evaluated in chunks, with the same bits: a
+# 4096-point, 2-component compose at N = 64 runs as four 1024-point chunks
+SPECTRAL_BUDGET = 1 << 17
 
 
 def _fourier_basis(x: np.ndarray, n: int) -> np.ndarray:

@@ -283,6 +283,32 @@ def test_norm_comparison_peak_stays_below_two_stacks():
     assert peak < 2 * stack_bytes, peak / stack_bytes
 
 
+def test_straightening_peak_stays_below_two_stacks(monkeypatch):
+    # deform-06/07 straighten the composite of a harmonic wiggle and the
+    # Hamiltonian shear: from the composite on, the part holds that one
+    # (K+1, 2) + grid stack and a few slices, as the remainder is replayed
+    # and its generator is never read (no stored remainder, no U)
+    config = ExperimentConfig(resolution=16, steps=200).validate()
+    bench = scenarios.Workbench(config)
+    bench.hamiltonian_shear  # the workbench's, as in verify
+    compose = scenarios.compose_pointwise
+
+    def from_here(*args, **kwargs):
+        tracemalloc.reset_peak()
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "compose_pointwise", from_here)
+    tracemalloc.start()
+    try:
+        rows, _ = scenarios.run_scenario("deformation", config, bench)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in rows)
+    stack_bytes = (200 + 1) * 2 * 16**2 * 8
+    assert peak < 2 * stack_bytes, peak / stack_bytes
+
+
 def test_base_transfer_row_fails_when_no_triangle_qualifies(monkeypatch):
     from torusflux import displacement
 

@@ -196,6 +196,35 @@ class TestScenarioCommand:
         assert rows[0].startswith("check_id,anchor,value")
         assert any(",false" in row for row in rows[1:])
 
+    def test_a_survey_pair_that_raises_fails_the_rows_and_keeps_the_others(
+        self, runner, tmp_path
+    ):
+        # at N = 16, K = 100 and seed 0 the third pair's pullback is
+        # under-resolved (displacement raises ValueError); the first two are not
+        tables = {}
+        for pairs in (3, 2):
+            config = tmp_path / f"pairs{pairs}.ini"
+            config.write_text(f"[scenario]\npair_count = {pairs}\n")
+            out = tmp_path / f"out{pairs}"
+            result = runner.invoke(
+                main,
+                ["scenario", "defect-survey", "--config", str(config),
+                 "--resolution", "16", "--steps", "100", "--out", str(out)],
+            )
+            tables[pairs] = (out / "defects.csv").read_text().splitlines()
+            if pairs == 3:
+                assert result.exit_code == 1, result.output
+                rows = {row["check_id"]: row for row in
+                        json.loads((out / "report.json").read_text())["rows"]}
+                assert sorted(rows) == ["defect-01-bound", "defect-02-exact-law"]
+                for row in rows.values():
+                    assert not row["passed"]
+                    assert ("1 of 3 pairs raised, first pair 2: ValueError: "
+                            "pullback is under-resolved") in row["anchor"]
+        # the good pairs keep their values; the pair that raised reads nan
+        assert tables[3][:3] == tables[2]
+        assert tables[3][3] == "2,nan,2,nan"
+
     def test_seed_reproducibility(self, runner, small_config, tmp_path):
         outs = []
         for run in ("a", "b"):

@@ -189,7 +189,7 @@ class TestIterationLaw:
         assert calls == []
         monkeypatch.setattr(disp_mod, "inverse_end", flows.inverse)
         stored = iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2))
-        assert calls == [1]
+        assert calls == []  # the stored inverse builds its generator only when read
         assert value.hex() == stored.hex()
 
     def test_zero_rejected(self, torus, shear):

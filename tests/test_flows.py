@@ -76,6 +76,47 @@ def _compressing(t, p):
     return out
 
 
+def _textbook_rk4(x_field, points, steps):
+    """The classical RK4 update, written out: the reference for the flows."""
+    p = np.array(points, dtype=float)
+    out = [p]
+    dt = 1.0 / steps
+    for k in range(steps):
+        t = k * dt
+        k1 = x_field(t, p)
+        k2 = x_field(t + dt / 2, p + (dt / 2) * k1)
+        k3 = x_field(t + dt / 2, p + (dt / 2) * k2)
+        k4 = x_field(t + dt, p + dt * k3)
+        p = p + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(p)
+    return out
+
+
+class TestRK4:
+    @pytest.mark.parametrize("make", ["trig", "shear"])
+    def test_trajectory_slices_are_the_textbook_update(self, torus, rng, make):
+        from torusflux.families import hamiltonian_shear_field
+        from torusflux.flows import trajectory_slices
+
+        if make == "trig":
+            x_field = TrigHamiltonian(torus, rng).field(lambda t: np.cos(2 * np.pi * t))
+        else:
+            x_field = hamiltonian_shear_field(torus, 0.7)
+        pts = rng.uniform(-1.0, 2.0, size=(300, 2))
+        ref = _textbook_rk4(x_field, pts, 60)
+        got = list(trajectory_slices(x_field, pts, 60, None))
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+    def test_trig_gradient_is_the_textbook_formula(self, rng):
+        ham = TrigHamiltonian(FlatTorus(4, 8), rng)
+        pts = rng.uniform(-1.0, 2.0, size=(500, 4))
+        phase = 2.0 * np.pi * pts @ ham.modes.T + ham.phases
+        ref = (ham.amps * np.cos(phase) * 2.0 * np.pi) @ ham.modes
+        assert ham.gradient(pts).tobytes() == ref.tobytes()
+
+
 class TestHamiltonianField:
     def test_divergence_free(self, torus, rng):
         ham = TrigHamiltonian(torus, rng)
@@ -192,7 +233,51 @@ class TestInverse:
         assert generator_residual(inv, generator_of(inv), nt=5) < 1e-6
         # harmonic parts negate, oscillations agree
         fwd = generator_of(ham_shear)
-        assert np.abs(inv.gen.H + fwd.H).max() < 1e-10
+        assert np.abs(generator_of(inv).H + fwd.H).max() < 1e-10
+
+    def test_inverse_generator_is_computed_when_read(self, ham_shear, monkeypatch):
+        # the inverse's generator pulls back one slice per time sample, and
+        # only when it is first read; the result is inverse_generator's
+        import gc
+
+        import torusflux.flows as flows_mod
+        from torusflux import generator_of
+
+        calls = []
+        real = flows_mod.pullback_potential
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flows_mod, "pullback_potential", counting)
+        inv = inverse(ham_shear)
+        assert calls == []
+        gen = generator_of(inv)
+        assert len(calls) == ham_shear.steps + 1
+        assert generator_of(inv) is gen  # kept once read
+        assert len(calls) == ham_shear.steps + 1
+        ref = flows_mod.inverse_generator(ham_shear)
+        assert gen.U.tobytes() == ref.U.tobytes()
+        assert gen.H.tobytes() == ref.H.tobytes()
+        # no reference cycle keeps an inverse alive once it is dropped
+        gc.disable()
+        try:
+            import weakref
+
+            alive = weakref.ref(inverse(ham_shear))
+            assert alive() is None
+            # the inverse holds its forward path until its generator is
+            # read, and not after
+            fwd = Isotopy(ham_shear.torus, ham_shear.times, ham_shear.disp.copy(),
+                          kind=ham_shear.kind, provenance=ham_shear.provenance)
+            inv, fwd_alive = inverse(fwd), weakref.ref(fwd)
+            del fwd
+            assert fwd_alive() is not None
+            assert generator_of(inv).U.tobytes() == ref.U.tobytes()
+            assert fwd_alive() is None
+        finally:
+            gc.enable()
 
     def test_inverse_builds_one_spline_per_slice(self, ham_shear, monkeypatch):
         # per slice one displacement and one Jacobian spline for the Newton
@@ -535,6 +620,18 @@ class TestShortcuts:
         g = GridMap(t3, disp)
         lapack = np.linalg.det(np.moveaxis(g.jacobian(), (0, 1), (-2, -1)))
         assert np.array_equal(g.det_jacobian(), lapack)
+
+    @pytest.mark.parametrize("dim,res", [(2, 16), (4, 8)])
+    def test_pull_coeffs_is_the_jacobian_einsum(self, rng, dim, res):
+        # row by row, bit for bit the (d, d) + grid einsum, signed zeros too
+        from torusflux import FlatTorus
+
+        t = FlatTorus(dim, res, symplectic=True)
+        g = GridMap(t, 0.02 * rng.standard_normal((dim,) + t.shape))
+        for vals in (rng.standard_normal((dim,) + t.shape),
+                     np.full((dim,) + t.shape, -0.0)):
+            ref = np.einsum("ji...,j...->i...", g.jacobian(), vals)
+            assert g.pull_coeffs(vals).tobytes() == ref.tobytes()
 
 
 class TestExactTranslations:

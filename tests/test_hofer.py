@@ -160,6 +160,46 @@ class TestHodgeSplit:
         assert split.remainder_flux < 1e-9
         assert c0_distance(split.harmonic_path, harm) < 1e-7
         assert split.harmonic_consistency < 1e-6
+        # the replayed remainder refers to its path, never to itself, so
+        # it is freed as soon as it is dropped
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            alive = weakref.ref(hodge_split_isotopy(comp).remainder)
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_remainder_slices_are_the_stored_difference(self, torus, ham_shear):
+        # each replayed slice is bitwise the row of the stored difference
+        # stack, in its layout, with +0.0 at slice 0
+        def coeffs(t):
+            return np.array([0.3 * np.cos(2 * np.pi * t), 0.0])
+
+        harm = harmonic_isotopy(torus, coeffs, 100)
+        for path in (ham_shear, compose_pointwise(harm, ham_shear)):
+            split = hodge_split_isotopy(path)
+            stored = path.disp - split.harmonic_path.disp
+            stored[0] = 0.0
+            for k, disp in enumerate(split.remainder.slices()):
+                assert disp.strides == stored[k].strides
+                assert disp.tobytes() == stored[k].tobytes(), k
+            assert split.remainder.last.tobytes() == stored[-1].tobytes()
+            for k in (0, 1, 50, 99, 100):
+                ref = Isotopy(torus, path.times, stored).velocity_samples(k)
+                assert split.remainder.velocity_samples(k).tobytes() == ref.tobytes()
+
+    def test_a_folded_path_raises_naming_the_slice(self, torus):
+        # the data route inverts no slice, so the guard is what tells
+        fold = np.zeros((2,) + torus.shape)
+        fold[0] = 0.3 * np.sin(2 * np.pi * torus.grid[0])
+        weights = np.linspace(0.0, 1.0, 61)
+        folded = Isotopy(torus, np.linspace(0.0, 1.0, 61),
+                         weights[:, None, None, None] * fold)
+        with pytest.raises(InversionError, match="time slice 32: map folds over"):
+            hodge_split_isotopy(folded)
 
 
 class TestDeformation:
@@ -230,7 +270,9 @@ class TestFgeo:
         harm = harmonic_isotopy(torus, coeffs, 100)
         comp = compose_pointwise(harm, ham_shear)
         # comp has no trace and no field, so its generator takes the data
-        # route (one Newton inversion per slice): it is computed once
+        # route (one Newton inversion per slice): the straightening reads
+        # only its harmonic part, and the remainder's generator computes it
+        # once, when it is first read, and keeps it for later reads
         routes = []
         real = hofer.generator_of
 
@@ -240,10 +282,14 @@ class TestFgeo:
 
         monkeypatch.setattr(hofer, "generator_of", counting)
         out, report = fgeo_deformation(comp)
-        assert routes.count(True) == 1
+        assert routes.count(True) == 0
         assert report.harmonic_residual < 1e-6
         assert report.endpoint_gap < 1e-6
         assert flux_class(out).norm() < 1e-9
+        assert lengths(out).hofer_l1 > 0.0
+        assert routes.count(True) == 1
+        assert inverse_lengths(out).hofer_l1 > 0.0
+        assert routes.count(True) == 1
 
     def test_nonzero_flux_rejected(self, torus, shear):
         with pytest.raises(ValueError):

@@ -245,6 +245,7 @@ def test_memory_peaks_smoke():
     src = str(SCRIPTS.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # --part prints that part only, and no verify line
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "memory_peaks.py"), "--resolution", "16",
          "--steps", "50", "--part", "norm-comparison"],
@@ -254,6 +255,28 @@ def test_memory_peaks_smoke():
     name, peak, unit, rows, *_ = line.split()
     assert (name, unit, rows) == ("norm-comparison", "MiB", "4/4")
     assert 0.0 < float(peak) < 64.0
+    # without it, every part on its own workbench, then the verify pass,
+    # which names the part at which it peaked (50 steps is the least a
+    # config takes)
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "memory_peaks.py"), "--resolution", "16",
+         "--steps", "50"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    *part_lines, verify_line = result.stdout.splitlines()
+    peaks = {}
+    for line in part_lines:
+        name, peak, unit, rows, *_ = line.split()
+        assert unit == "MiB" and 0.0 < float(peak) < 64.0
+        peaks[name] = float(peak)
+        if name == "norm-comparison":
+            assert rows == "4/4"
+    assert len(peaks) == 10
+    name, peak, unit, rows, *_, at = verify_line.split()
+    assert (name, unit, rows.split("/")[1]) == ("verify", "MiB", "64")
+    assert verify_line.split("rows pass")[1].split() == ["peak", "in", at]
+    # the whole run holds at least what the part at its peak held alone
+    assert at in peaks and float(peak) >= peaks[at] - 1.0
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "memory_peaks.py"), "--part", "nope"],
         capture_output=True, text=True, env=env, timeout=60)

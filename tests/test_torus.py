@@ -317,6 +317,37 @@ class TestSpectralEval:
         chunked = eval_spectral(torus, samples, pts)
         assert np.abs(chunked - whole).max() < 1e-15
 
+    def test_production_chunks_are_bitwise_the_wide_evaluation(self, rng, monkeypatch):
+        # a spectral compose at N = 64: 4096 points, 2 components; the budget
+        # of 2^17 entries splits it into 1024-point chunks, 2^21 did not split
+        torus = FlatTorus(2, 64)
+        samples = rng.standard_normal((2,) + torus.shape)
+        pts = rng.uniform(-0.5, 1.5, size=(4096, 2))
+        assert torus_mod.SPECTRAL_BUDGET == 1 << 17
+        chunked = eval_spectral(torus, samples, pts)
+        monkeypatch.setattr(torus_mod, "SPECTRAL_BUDGET", 1 << 21)
+        whole = eval_spectral(torus, samples, pts)
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_spectral_compose_peak_at_64(self):
+        # the widest intermediate of a 4096-point, 2-component compose is
+        # about 5 MiB in 1024-point chunks (20 MiB in one piece)
+        import tracemalloc
+
+        from torusflux.flows import GridMap
+
+        torus = FlatTorus(2, 64, symplectic=True)
+        x, y = torus.grid
+        outer = GridMap(torus, np.stack([0.1 * np.sin(2 * np.pi * y), 0.05 * np.cos(2 * np.pi * x)]))
+        inner = GridMap(torus, np.stack([0.02 * np.cos(2 * np.pi * y), 0.1 * np.sin(2 * np.pi * x)]))
+        tracemalloc.start()
+        try:
+            outer.compose(inner)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
+
     def test_shape_errors(self, torus):
         with pytest.raises(ValueError):
             eval_spectral(torus, np.zeros((3, 8)), torus.points[:2])
