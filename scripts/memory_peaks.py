@@ -19,7 +19,8 @@ The peak is the one ``tracemalloc`` records, numpy arrays included: for a
 given config and library build it is the same to about 0.3 MiB across
 process histories (a part run alone or after the others), unlike the
 resident set size.  One line per part: its name, its peak in MiB and how
-many of its rows pass.
+many of its rows pass.  Peaks print to 4 decimals (0.0001 MiB is about
+100 bytes), so a part that allocates 1 KiB or more never reads 0.
 """
 
 import argparse
@@ -82,11 +83,11 @@ def main() -> int:
         call = dict(verify_parts(Workbench(config)))[name]
         peak, rows = traced_peak(call)
         passed = sum(row.passed for row in rows)
-        print(f"{name:<18} {peak / 2**20:8.1f} MiB  {passed}/{len(rows)} rows pass")
+        print(f"{name:<18} {peak / 2**20:10.4f} MiB  {passed}/{len(rows)} rows pass")
     if args.part is None:
         peak, at, rows = verify_peak(config)
         passed = sum(row.passed for row in rows)
-        print(f"{'verify':<18} {peak / 2**20:8.1f} MiB  {passed}/{len(rows)} rows pass"
+        print(f"{'verify':<18} {peak / 2**20:10.4f} MiB  {passed}/{len(rows)} rows pass"
               f"  peak in {at}")
     return 0
 

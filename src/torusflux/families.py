@@ -11,7 +11,9 @@ from typing import Callable
 
 import numpy as np
 
-from .flows import Isotopy, TimeField, constant_field, flow, is_repeat
+from .flows import (
+    Isotopy, TimeField, constant_field, flow, is_repeat, rotate_coeffs_to_field,
+)
 from .torus import FlatTorus
 
 
@@ -83,7 +85,7 @@ def hamiltonian_shear(torus: FlatTorus, steps: int, amplitude: float = 1.0) -> I
 
 
 class TrigHamiltonian:
-    """Low-mode trigonometric Hamiltonian with analytic gradient.
+    """Low-mode trigonometric Hamiltonian with analytic field.
 
     H(x) = sum over three drawn modes of a * sin(2 pi (m . x) + phase); the
     field is the symplectic rotation of dH, divergence free by construction.
@@ -105,23 +107,17 @@ class TrigHamiltonian:
         phase = 2.0 * np.pi * points @ self.modes.T + self.phases
         return np.sin(phase) @ self.amps
 
-    def gradient(self, points: np.ndarray) -> np.ndarray:
-        # value()'s phase and amps * cos(phase) * 2 * pi, each scalar step
-        # done in place, in the same order
-        terms = 2.0 * np.pi * points @ self.modes.T
-        terms += self.phases
-        np.cos(terms, out=terms)
-        terms *= self.amps
-        terms *= 2.0
-        terms *= np.pi
-        return terms @ self.modes
-
     def field(self, time_profile: Callable[[float], float] | None = None) -> TimeField:
+        # X = J dH = sum_k cos(2 pi m_k . x + phase_k) J (2 pi a_k m_k): one
+        # matrix product against the rotated weights, constants folded
+        freqs = 2.0 * np.pi * self.modes.T
+        weights = rotate_coeffs_to_field(
+            ((2.0 * np.pi * self.amps)[:, None] * self.modes).T).T.copy()
+
         def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-            g = self.gradient(points)
-            out = np.empty_like(g)
-            out[..., 0::2] = g[..., 1::2]
-            out[..., 1::2] = -g[..., 0::2]
+            phase = points @ freqs
+            phase += self.phases
+            out = np.cos(phase, out=phase) @ weights
             if time_profile is not None:
                 out *= time_profile(t)
             return out

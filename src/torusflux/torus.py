@@ -8,9 +8,10 @@ components are sampled on a uniform N^d grid; scalar fields are plain
 component axis first, shape ``(d,) + (N,)*d``.  Point sets carry the
 component axis last, shape ``(..., d)``.
 
-Derivatives and Poisson solves are spectral (FFT), so quadrature and the
-Hodge splitting are exact to machine precision on band-limited data.  Closed
-1-forms are stored split as
+Derivatives and Poisson solves are spectral: a derivative along one axis is
+one real FFT along that axis, a Poisson solve one real n-D FFT.  Quadrature
+and the Hodge splitting are exact to machine precision on band-limited
+data.  Closed 1-forms are stored split as
 
     alpha = sum_i c_i dx_i + dF,
 
@@ -100,16 +101,6 @@ class FlatTorus:
         """Grid coordinates flattened to ``(N^d, d)``."""
         return self.grid.reshape(self.dim, -1).T.copy()
 
-    @cached_property
-    def freq(self) -> np.ndarray:
-        """Angular frequencies 2*pi*m per axis, shape (N,)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.grid_res, d=self.spacing)
-
-    def _freq_along(self, axis: int) -> np.ndarray:
-        shape = [1] * self.dim
-        shape[axis] = self.grid_res
-        return self.freq.reshape(shape)
-
     def check_scalar(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=float)
         if f.shape != self.shape:
@@ -146,35 +137,47 @@ def osc(f: np.ndarray) -> float:
     return float(f.max() - f.min())
 
 
+def _partial(torus: FlatTorus, f: np.ndarray, axis: int) -> np.ndarray:
+    """Spectral ``d f / d x_axis``: one real transform along that axis only.
+
+    ``irfft`` reads only the real part of the Nyquist bin, so that mode
+    drops out, as it does from the real part of a complex transform.
+    """
+    n = torus.grid_res
+    ik = 2j * np.pi * np.arange(n // 2 + 1)
+    ik = ik.reshape((-1,) + (1,) * (torus.dim - 1 - axis))
+    return np.fft.irfft(ik * np.fft.rfft(f, axis=axis), n=n, axis=axis)
+
+
 def grad(torus: FlatTorus, f: np.ndarray) -> np.ndarray:
     """Spectral gradient of a scalar field, shape ``(d,) + grid``."""
     f = torus.check_scalar(f)
-    fhat = np.fft.fftn(f)
     out = np.empty((torus.dim,) + torus.shape)
     for j in range(torus.dim):
-        out[j] = np.fft.ifftn(1j * torus._freq_along(j) * fhat).real
+        out[j] = _partial(torus, f, j)
     return out
 
 
 def divergence(torus: FlatTorus, v: np.ndarray) -> np.ndarray:
     """Spectral divergence of a vector field."""
     v = torus.check_vector(v)
-    out = np.zeros(torus.shape, dtype=complex)
-    for j in range(torus.dim):
-        out += 1j * torus._freq_along(j) * np.fft.fftn(v[j])
-    return np.fft.ifftn(out).real
+    out = _partial(torus, v[0], 0)
+    for j in range(1, torus.dim):
+        out += _partial(torus, v[j], j)
+    return out
 
 
 def solve_poisson(torus: FlatTorus, rhs: np.ndarray) -> np.ndarray:
     """Mean-zero solution of ``Laplace(F) = rhs`` (rhs must be mean-free)."""
     rhs = torus.check_scalar(rhs)
-    k2 = np.zeros(torus.shape)
-    for j in range(torus.dim):
-        k2 = k2 + torus._freq_along(j) ** 2
-    k2[(0,) * torus.dim] = 1.0
-    fhat = np.fft.fftn(rhs) / (-k2)
-    fhat[(0,) * torus.dim] = 0.0
-    return np.fft.ifftn(fhat).real
+    d, n = torus.dim, torus.grid_res
+    # real-input transform: the last axis keeps its modes 0..n/2 only
+    modes = [np.fft.fftfreq(n, d=1.0 / n)] * (d - 1) + [np.arange(n // 2 + 1)]
+    k2 = sum(k**2 for k in np.ix_(*(2.0 * np.pi * m for m in modes)))
+    k2[(0,) * d] = 1.0
+    fhat = np.fft.rfftn(rhs) / (-k2)
+    fhat[(0,) * d] = 0.0
+    return np.fft.irfftn(fhat, s=torus.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -109,12 +109,32 @@ class TestRK4:
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
 
-    def test_trig_gradient_is_the_textbook_formula(self, rng):
-        ham = TrigHamiltonian(FlatTorus(4, 8), rng)
-        pts = rng.uniform(-1.0, 2.0, size=(500, 4))
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_trig_field_is_one_product_with_the_rotated_weights(self, rng, dim):
+        ham = TrigHamiltonian(FlatTorus(dim, 8), rng)
+        pts = rng.uniform(-1.0, 2.0, size=(500, dim))
+        got = ham.field()(0.3, pts)
+        # bit for bit: one product against J (2 pi a_k m_k), written out
+        w = (2.0 * np.pi * ham.amps)[:, None] * ham.modes
+        w_rot = np.empty_like(w)
+        w_rot[:, 0::2] = w[:, 1::2]
+        w_rot[:, 1::2] = -w[:, 0::2]
+        ref = np.cos(pts @ (2.0 * np.pi * ham.modes.T) + ham.phases) @ w_rot
+        assert got.tobytes() == ref.tobytes()
+        # and J applied to the textbook gradient of H, to the rounding of
+        # the phases: each is a sum of dim + 1 terms, rounded in another
+        # order, and an error in a phase moves its cosine by as much
         phase = 2.0 * np.pi * pts @ ham.modes.T + ham.phases
-        ref = (ham.amps * np.cos(phase) * 2.0 * np.pi) @ ham.modes
-        assert ham.gradient(pts).tobytes() == ref.tobytes()
+        dh = (ham.amps * np.cos(phase) * 2.0 * np.pi) @ ham.modes
+        textbook = np.empty_like(dh)
+        textbook[:, 0::2] = dh[:, 1::2]
+        textbook[:, 1::2] = -dh[:, 0::2]
+        terms = np.abs(2.0 * np.pi * pts) @ np.abs(ham.modes.T) + np.abs(ham.phases)
+        bound = 4 * (dim + 1) * np.finfo(float).eps * ((terms + 1.0) @ np.abs(w_rot))
+        assert np.all(np.abs(got - textbook) <= bound)
+        # the time profile scales the same product
+        profiled = ham.field(lambda t: np.cos(2.0 * np.pi * t))(0.3, pts)
+        assert profiled.tobytes() == (ref * np.cos(2.0 * np.pi * 0.3)).tobytes()
 
 
 class TestHamiltonianField:

@@ -131,6 +131,83 @@ class TestHodge:
             assert np.abs(back.samples() - form.samples()).max() < 1e-8
 
 
+def _complex_k(torus, axis):
+    """Angular frequencies of the full complex FFT laid along ``axis``."""
+    shape = [1] * torus.dim
+    shape[axis] = torus.grid_res
+    k = 2.0 * np.pi * np.fft.fftfreq(torus.grid_res, d=torus.spacing)
+    return k.reshape(shape)
+
+
+def _complex_grad(torus, f):
+    """The gradient by one complex n-D FFT and one inverse per axis."""
+    fhat = np.fft.fftn(f)
+    return np.stack([np.fft.ifftn(1j * _complex_k(torus, j) * fhat).real
+                     for j in range(torus.dim)])
+
+
+def _complex_divergence(torus, v):
+    out = sum(1j * _complex_k(torus, j) * np.fft.fftn(v[j]) for j in range(torus.dim))
+    return np.fft.ifftn(out).real
+
+
+def _complex_poisson(torus, rhs):
+    k2 = sum(_complex_k(torus, j) ** 2 for j in range(torus.dim))
+    k2[(0,) * torus.dim] = 1.0
+    fhat = np.fft.fftn(rhs) / (-k2)
+    fhat[(0,) * torus.dim] = 0.0
+    return np.fft.ifftn(fhat).real
+
+
+class TestFFTCalculus:
+    """Derivatives are one real transform along their own axis, and Poisson
+    solves one real n-D transform; both agree with the full complex FFTs."""
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (4, 8)])
+    def test_matches_the_complex_transforms(self, rng, dim, n):
+        t = FlatTorus(dim, n)
+        f = rng.standard_normal(t.shape)
+        v = rng.standard_normal((dim,) + t.shape)
+        rhs = f - f.mean()
+        for got, ref in ((torus_mod.grad(t, f), _complex_grad(t, f)),
+                         (torus_mod.divergence(t, v), _complex_divergence(t, v)),
+                         (torus_mod.solve_poisson(t, rhs), _complex_poisson(t, rhs))):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (4, 8)])
+    def test_band_limited_derivatives_are_analytic(self, rng, dim, n):
+        # f = sum_k a_k sin(2 pi m_k . x + p_k) with |m_k| < n/2 per axis
+        t = FlatTorus(dim, n)
+        x = t.grid.reshape(dim, -1).T
+        modes = rng.integers(-(n // 2) + 1, n // 2, size=(5, dim))
+        modes[0] = 0
+        modes[0, -1] = n // 2 - 1  # the last axis's highest resolved mode
+        amps = rng.uniform(0.5, 1.0, size=5)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=5)
+        phase = 2.0 * np.pi * x @ modes.T + phases
+        f = (np.sin(phase) @ amps).reshape(t.shape)
+        df = (2.0 * np.pi * (amps * np.cos(phase)) @ modes).T.reshape((dim,) + t.shape)
+        lap = (-(2.0 * np.pi) ** 2 * np.sin(phase) @ (amps * (modes**2).sum(axis=1)))
+        lap = lap.reshape(t.shape)
+        scale = np.abs(df).max()
+        assert np.abs(torus_mod.grad(t, f) - df).max() <= 1e-12 * scale
+        assert np.abs(torus_mod.divergence(t, df) - lap).max() <= 1e-12 * np.abs(lap).max()
+        assert np.abs(torus_mod.solve_poisson(t, lap) - f).max() <= 1e-12 * np.abs(f).max()
+
+    @pytest.mark.parametrize("dim, n", [(2, 16), (2, 64), (4, 8)])
+    def test_nyquist_mode_has_zero_derivative(self, dim, n):
+        # cos(pi n x_j) samples (-1)^i along axis j; the real transforms drop
+        # it exactly, as the real part of the complex ones does
+        t = FlatTorus(dim, n)
+        for j in range(dim):
+            f = np.cos(np.pi * n * t.grid[j])
+            assert not np.any(torus_mod.grad(t, f))
+            v = np.zeros((dim,) + t.shape)
+            v[j] = f
+            assert not np.any(torus_mod.divergence(t, v))
+
+
 class TestLineIntegral:
     def test_coordinate_loop(self, torus):
         form = OneForm.harmonic_form(torus, (1, 0))
