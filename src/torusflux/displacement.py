@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flows import GridMap, Isotopy, PathEnd, flow_tolerance, inverse_end
+from .flows import GridMap, Isotopy, PathEnd, flow_tolerance
 from .flux import flux_class, orbit_displacement, orbit_of, pullback_difference, winding
 from .torus import (
     FlatTorus,
@@ -254,8 +254,9 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
     ``E(psi^l) = l E(psi) + (Vol/|H|) (l int_{orbit of x} H -
     sum over iterates of the orbit integrals through psi^{eps i}(x))``
     with eps the sign of l and orbits taken along the eps-branch of the
-    path.  The inverse branch is read at its ends
-    (:func:`~torusflux.flows.inverse_end`).
+    path.  The inverse branch is read at its ends: one Newton solve of the
+    time-one inverse serves both ``psi^l`` and, as a
+    :class:`~torusflux.flows.PathEnd`, the orbits along the inverse path.
     """
     if power == 0:
         raise ValueError("iteration power must be nonzero")
@@ -264,11 +265,14 @@ def iteration_law_residual(phi_iso: Isotopy, power: int, coeffs, x) -> float:
     x = np.asarray(x, dtype=float)
     eps = 1 if power > 0 else -1
     m = abs(power)
-    base = phi_iso if eps > 0 else inverse_end(phi_iso)
     psi_map = phi_iso.time_one()
-    base_map = base.time_one()
+    if eps > 0:
+        base, base_map = phi_iso, psi_map
+    else:
+        base_map = psi_map.inverse()
+        base = PathEnd(phi_iso.torus, phi_iso.steps, None, base_map.disp)
 
-    lhs = energy(psi_map.power(power), coeffs, x).value
+    lhs = energy(base_map.power(m), coeffs, x).value
     e_one = energy(psi_map, coeffs, x).value
 
     # first orbit term along the forward path for either sign; the sum runs

@@ -109,15 +109,18 @@ class TrigHamiltonian:
 
     def field(self, time_profile: Callable[[float], float] | None = None) -> TimeField:
         # X = J dH = sum_k cos(2 pi m_k . x + phase_k) J (2 pi a_k m_k): one
-        # matrix product against the rotated weights, constants folded
-        freqs = 2.0 * np.pi * self.modes.T
+        # matrix product against the rotated weights, constants folded.  The
+        # phases are held mode-major, (3, P), so the phase shift is a row
+        # broadcast and the cosine runs over contiguous rows
+        freqs = 2.0 * np.pi * self.modes
+        phases = self.phases[:, None]
         weights = rotate_coeffs_to_field(
             ((2.0 * np.pi * self.amps)[:, None] * self.modes).T).T.copy()
 
         def evaluator(t: float, points: np.ndarray) -> np.ndarray:
-            phase = points @ freqs
-            phase += self.phases
-            out = np.cos(phase, out=phase) @ weights
+            phase = freqs @ points.reshape(-1, points.shape[-1]).T
+            phase += phases
+            out = (np.cos(phase, out=phase).T @ weights).reshape(points.shape)
             if time_profile is not None:
                 out *= time_profile(t)
             return out

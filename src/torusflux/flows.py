@@ -44,15 +44,18 @@ def flow_tolerance(grid_res: int, scale: float = 1.0) -> float:
 
 
 def is_repeat(new: np.ndarray, previous: np.ndarray | None) -> bool:
-    """True when ``new`` holds the bits of ``previous`` (signed zeros told apart).
+    """True when ``new`` holds the bits of ``previous`` and no NaN.
 
     Time-slice loops use it to reuse the previous slice's result: a result
     computed from ``previous`` is then bitwise the one ``new`` would give.
+    The data are compared as raw bytes, so signed zeros are told apart; a
+    NaN is never a repeat, as it never compares equal.
     """
     return (
         previous is not None
-        and np.array_equal(new, previous)
-        and np.array_equal(np.signbit(new), np.signbit(previous))
+        and new.shape == previous.shape
+        and new.tobytes() == previous.tobytes()
+        and not np.isnan(previous).any()
     )
 
 
@@ -114,27 +117,27 @@ class TimeField:
         return vals.T.reshape((self.torus.dim,) + self.torus.shape)
 
     def divergence_residual(self) -> float:
-        return max(
-            float(np.abs(divergence(self.torus, self.sample(t))).max())
-            for t in (0.0, 0.5, 1.0)
-        )
+        """Largest |div X| over the grid samples at t = 0, 1/2 and 1 (NaN kept)."""
+        return float(np.max([np.abs(divergence(self.torus, self.sample(t))).max()
+                             for t in (0.0, 0.5, 1.0)]))
 
     def validate(self) -> None:
         """Check the kind tag on grid samples at t = 0, 1/2 and 1.
 
         A ``harmonic`` field must be spatially constant at each of them (a
         constant field has no divergence); the other divergence-free kinds
-        must have divergence within tolerance.
+        must have divergence within tolerance.  A non-finite sample fails
+        either test.
         """
         tol = flow_tolerance(self.torus.grid_res, 10.0)
         if self.kind == "harmonic":
             for t in (0.0, 0.5, 1.0):
                 s = self.sample(t).reshape(self.torus.dim, -1)
-                if float(np.abs(s - s.mean(axis=1, keepdims=True)).max()) > tol:
+                if not float(np.abs(s - s.mean(axis=1, keepdims=True)).max()) <= tol:
                     raise ValueError("field tagged harmonic is not spatially constant")
         elif self.kind in ("conservative", "symplectic", "hamiltonian"):
             r = self.divergence_residual()
-            if r > tol:
+            if not r <= tol:
                 raise ValueError(f"field tagged {self.kind} has divergence {r:.3e}")
 
 
@@ -682,8 +685,10 @@ class PathEnd:
     that generates the path (None when there is none).  It answers what
     :func:`~torusflux.flux.flux_class`,
     :func:`~torusflux.flux.orbit_displacement` and ``time_one()`` read of
-    an :class:`Isotopy`, bit for bit.  Made by :func:`flow_end`,
-    :func:`inverse_end` or :meth:`Isotopy.ends`.
+    an :class:`Isotopy`, bit for bit.  Made by :func:`flow_end` or
+    :meth:`Isotopy.ends`; :func:`~torusflux.displacement.iteration_law_residual`
+    makes one of a cold ``GridMap.inverse``, which is :func:`inverse`'s
+    last slice to Newton's residual.
     """
 
     torus: FlatTorus
@@ -881,9 +886,9 @@ def generator_residual(isotopy: Isotopy, gen: GeneratorPair, nt: int = 5) -> flo
 def inverse(isotopy: Isotopy) -> Isotopy:
     """The inverse isotopy ``t -> phi_t^{-1}`` with continuous lifts.
 
-    Each slice's Newton inversion is warm-started from the previous slice
-    (:func:`inverse_slices`), so the chain follows the path continuously,
-    and raises :class:`InversionError` when the slice folds over.  The
+    Each slice's Newton inversion is warm-started from the previous slice's
+    preimages, so the chain follows the path continuously, and raises
+    :class:`InversionError` naming the slice when it folds over.  The
     forward slice's spline serves both the Newton solve and the
     displacement ``-u(pre)`` at the preimages; a translation slice is
     inverted exactly, as ``-disp[k]``.  A path whose every slice is a translation (read from the
@@ -910,23 +915,6 @@ def inverse(isotopy: Isotopy) -> Isotopy:
         return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
     stack = np.empty_like(isotopy.disp)
     stack[0] = 0.0
-    for k, disp in enumerate(inverse_slices(isotopy), 1):
-        stack[k] = disp
-    # computed when first read: a partial of the forward path, so the
-    # inverse holds no reference to itself, and the forward path only
-    # until then
-    gen = functools.partial(inverse_generator, isotopy) if exact_gen else None
-    return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
-
-
-def inverse_slices(isotopy: Isotopy):
-    """Yield the inverse path's displacement slices 1..K, in order.
-
-    The warm-started Newton chain that :func:`inverse` stores: each slice
-    is inverted from the previous slice's preimages, and a fold-over raises
-    :class:`InversionError` naming the slice.
-    """
-    torus = isotopy.torus
     warm: np.ndarray | None = None
     for k in range(1, isotopy.steps + 1):
         fwd = GridMap(torus, isotopy.disp[k])
@@ -936,22 +924,14 @@ def inverse_slices(isotopy: Isotopy):
             raise InversionError(f"time slice {k}: {exc}") from exc
         warm = inv.image_points()
         if fwd._shift is not None:
-            yield inv.disp
+            stack[k] = inv.disp
         else:
-            yield -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
-
-
-def inverse_end(isotopy: Isotopy) -> PathEnd:
-    """The ends of :func:`inverse`: its time-one map, bit for bit.
-
-    Runs the Newton chain of :func:`inverse_slices` and keeps only its last
-    slice, in the layout of :func:`inverse`'s stack; no stack and no
-    generator is built.
-    """
-    last = np.empty_like(isotopy.disp[-1])
-    for disp in inverse_slices(isotopy):
-        last[...] = disp
-    return PathEnd(isotopy.torus, isotopy.steps, None, last)
+            stack[k] = -fwd._interp.at(warm).T.reshape((torus.dim,) + torus.shape)
+    # computed when first read: a partial of the forward path, so the
+    # inverse holds no reference to itself, and the forward path only
+    # until then
+    gen = functools.partial(inverse_generator, isotopy) if exact_gen else None
+    return Isotopy(torus, isotopy.times.copy(), stack, kind=isotopy.kind, gen=gen)
 
 
 def pullback_potential(

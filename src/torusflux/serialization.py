@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import zipfile
 from pathlib import Path
 
@@ -54,20 +55,33 @@ def save_isotopy(isotopy: Isotopy, path: str | Path) -> None:
 
 
 def resample_grid(samples: np.ndarray, dim: int, new_res: int) -> np.ndarray:
-    """Spectral resampling of periodic grid samples on the last d axes."""
+    """Spectral resampling of periodic grid samples on the last d axes.
+
+    The real part of the frequencies ``-m..m-1`` per axis, ``m = min(N, N')
+    // 2``, kept at the new size, taken through the half spectrum of real
+    FFTs: a mode of ``[-m, m]^(d-1) x [0, m]`` enters with the weight
+    ``(prod_i [k_i != m] + prod_i [k_i != -m]) / 2`` (the kept set and its
+    mirror), and modes at +-m fold onto the new Nyquist bin when ``N' = 2m``.
+    """
     old_res = samples.shape[-1]
     if new_res == old_res:
         return samples.copy()
     axes = tuple(range(samples.ndim - dim, samples.ndim))
-    spec = np.fft.fftn(samples, axes=axes) / old_res**dim
-    out_shape = samples.shape[:-dim] + (new_res,) * dim
-    out = np.zeros(out_shape, dtype=complex)
     keep = min(old_res, new_res) // 2
-    sel_parts = [np.r_[0:keep, -keep:0]]
-    idx_old = np.ix_(*([sel_parts[0]] * dim))
+    ks = np.arange(-keep, keep + 1)
+    modes = np.ix_(*[ks] * (dim - 1), ks[keep:])
     lead = (slice(None),) * (samples.ndim - dim)
-    out[lead + idx_old] = spec[lead + idx_old]
-    return np.fft.ifftn(out * new_res**dim, axes=axes).real
+    spec = np.fft.rfftn(samples, axes=axes)[lead + tuple(k % old_res for k in modes)]
+    spec *= (math.prod(k != keep for k in modes) + math.prod(k != -keep for k in modes)) * (
+        0.5 * (new_res / old_res) ** dim)
+    if new_res == 2 * keep:
+        # the last axis' mode -m: the mirror of +m at the mirrored k', conjugated
+        nyquist = spec[..., keep]
+        nyquist += np.conj(nyquist[(Ellipsis,) + (slice(None, None, -1),) * (dim - 1)])
+    half_shape = samples.shape[:-dim] + (new_res,) * (dim - 1) + (new_res // 2 + 1,)
+    half = np.zeros(half_shape, complex)
+    np.add.at(half, lead + tuple(k % new_res for k in modes), spec)
+    return np.fft.irfftn(half, s=(new_res,) * dim, axes=axes)
 
 
 def load_isotopy(path: str | Path, resolution: int | None = None) -> Isotopy:
@@ -114,15 +128,13 @@ def load_isotopy(path: str | Path, resolution: int | None = None) -> Isotopy:
     ):
         raise SerializationError(f"generator shape mismatch in {path}")
     if resolution is not None and resolution != res:
-        back = resample_grid(
-            resample_grid(disp, dim, resolution), dim, res
-        )
-        est = float(np.abs(back - disp).max())
+        resampled = resample_grid(disp, dim, resolution)
+        est = float(np.abs(resample_grid(resampled, dim, res) - disp).max())
         log.info(
             "resampled isotopy %s from N=%d to N=%d (round-trip error %.3e)",
             path.name, res, resolution, est,
         )
-        disp = resample_grid(disp, dim, resolution)
+        disp = resampled
         if gen is not None:
             gen[1] = resample_grid(gen[1], dim, resolution)
         res = resolution

@@ -172,25 +172,43 @@ class TestIterationLaw:
         assert iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2)) < 1e-5
 
     def test_negative_power_builds_no_inverse_stack(self, shear, monkeypatch):
-        # the inverse branch is read at its end: no inverse generator, and
-        # bitwise the value of the stored inverse path
-        from torusflux import displacement as disp_mod
+        # the inverse branch is read at its end: one Newton solve of the
+        # time-one inverse and no inverse generator
         from torusflux import flows
+        from torusflux.flux import orbit_displacement
+        from torusflux.torus import harmonic_norm
 
         calls = []
-        real = flows.inverse_generator
+        real_generator, real_inverse = flows.inverse_generator, GridMap.inverse
 
-        def counted(isotopy):
-            calls.append(1)
-            return real(isotopy)
+        def counted_generator(isotopy):
+            calls.append("generator")
+            return real_generator(isotopy)
 
-        monkeypatch.setattr(flows, "inverse_generator", counted)
+        def counted_inverse(self, initial=None):
+            calls.append("newton")
+            return real_inverse(self, initial)
+
+        monkeypatch.setattr(flows, "inverse_generator", counted_generator)
+        monkeypatch.setattr(GridMap, "inverse", counted_inverse)
         value = iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2))
-        assert calls == []
-        monkeypatch.setattr(disp_mod, "inverse_end", flows.inverse)
-        stored = iteration_law_residual(shear, -2, (1, 0), (0.1, 0.2))
-        assert calls == []  # the stored inverse builds its generator only when read
-        assert value.hex() == stored.hex()
+        assert calls == ["newton"]
+        monkeypatch.undo()
+        # the law read along the stored inverse path: its last slice is the
+        # Newton chain's, which differs from the inverse solved cold by
+        # Newton's residual (<= 1e-12 in the displacement)
+        stored = flows.inverse(shear)
+        coeffs, x = np.array([1.0, 0.0]), np.array([0.1, 0.2])
+        psi_map = shear.time_one()
+        lhs = energy(psi_map.power(-2), coeffs, x).value
+        orbit_x = float(coeffs @ orbit_displacement(shear, x))
+        total, point = 0.0, x.copy()
+        for _ in range(2):
+            total += float(coeffs @ orbit_displacement(stored, point % 1.0))
+            point = stored.time_one().apply(point[None, :])[0]
+        rhs = (-2 * energy(psi_map, coeffs, x).value
+               + (-2 * orbit_x - total) / harmonic_norm(coeffs))
+        assert abs(value - abs(lhs - rhs)) <= 1e-12
 
     def test_zero_rejected(self, torus, shear):
         with pytest.raises(ValueError):

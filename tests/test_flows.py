@@ -136,6 +136,27 @@ class TestRK4:
         profiled = ham.field(lambda t: np.cos(2.0 * np.pi * t))(0.3, pts)
         assert profiled.tobytes() == (ref * np.cos(2.0 * np.pi * 0.3)).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_trig_field_is_pointwise_in_any_layout(self, rng, dim):
+        # the field does not depend on how the points are stacked: (S, T, d)
+        # and a single (d,) point give the bits of their flattened (P, d)
+        # rows.  (A one-row product may round otherwise than the same row in
+        # a larger one, as BLAS picks another kernel, so a point is compared
+        # with its own one-row call.)
+        x_field = TrigHamiltonian(FlatTorus(dim, 8), rng).field()
+        pts = rng.uniform(-1.0, 2.0, size=(6, 5, dim))
+        rows = x_field(0.3, pts.reshape(-1, dim))
+        got = x_field(0.3, pts)
+        assert got.shape == pts.shape
+        assert got.reshape(-1, dim).tobytes() == rows.tobytes()
+        for p in pts.reshape(-1, dim)[:4]:
+            one = x_field(0.3, p)
+            assert one.shape == (dim,)
+            assert one.tobytes() == x_field(0.3, p[None, :]).tobytes()
+        # a strided view gives the bits of its copy
+        view = pts[:, ::2]
+        assert x_field(0.3, view).tobytes() == x_field(0.3, view.copy()).tobytes()
+
 
 class TestHamiltonianField:
     def test_divergence_free(self, torus, rng):
@@ -150,6 +171,21 @@ class TestHamiltonianField:
                 2 * np.pi * p[..., ::-1]
             ), "harmonic").validate()
         TimeField(torus, lambda t, p: np.full_like(p, 0.3), "harmonic").validate()
+
+    @pytest.mark.parametrize("kind", ["conservative", "harmonic"])
+    def test_non_finite_field_fails_validation(self, torus, kind):
+        # NaN compares false with any tolerance: the check must not pass it
+        nan_field = TimeField(torus, lambda t, p: np.full_like(p, np.nan), kind)
+        with pytest.raises(ValueError):
+            nan_field.validate()
+        with pytest.raises(ValueError):
+            flow(nan_field, 50)
+
+    def test_divergence_residual_keeps_a_nan_at_any_time(self, torus):
+        def half_nan(t, p):
+            return np.full_like(p, np.nan if t == 0.5 else 0.3)
+
+        assert np.isnan(TimeField(torus, half_nan, "conservative").divergence_residual())
 
     def test_flow_checks_every_divergence_free_tag(self, torus):
         for kind in ("conservative", "symplectic", "hamiltonian"):
@@ -575,6 +611,25 @@ class TestRepeatedSlices:
         assert not is_repeat(np.array([-0.0, 1.0]), a)
         assert not is_repeat(np.array([np.nan]), np.array([np.nan]))
 
+    def test_strided_view_is_a_repeat_and_one_ulp_is_not(self):
+        from torusflux.flows import is_repeat
+
+        p = np.random.default_rng(5).uniform(size=(4096, 2))
+        view = p[..., 1]
+        assert not view.flags.c_contiguous
+        assert is_repeat(view, view.copy())
+        assert is_repeat(view.copy(), view)
+        moved = view.copy()
+        moved[1234] = np.nextafter(moved[1234], 2.0)
+        assert not is_repeat(moved, view)
+        assert not is_repeat(view, moved)
+        # equal bytes in another shape are not a repeat
+        assert not is_repeat(view.reshape(64, 64), view.copy())
+        # a NaN anywhere is never a repeat
+        nan = view.copy()
+        nan[7] = np.nan
+        assert not is_repeat(nan, nan.copy())
+
 
 class TestShortcuts:
     """An all-zero field composes without a spline, and the T^2 determinant
@@ -845,12 +900,3 @@ class TestPathEnds:
                     == orbit_displacement(iso, points).tobytes())
         # the draw kept at its ends holds no view of its stack
         assert kind == "translation" or not np.shares_memory(kept.last, iso.disp)
-
-    def test_inverse_end_is_the_stored_inverse(self, shear):
-        from torusflux.flows import inverse_end
-
-        end = inverse_end(shear)
-        stored = inverse(shear).disp[-1]
-        assert end.provenance is None and end.steps == shear.steps
-        assert end.last.strides == stored.strides
-        assert end.last.tobytes() == stored.tobytes()
